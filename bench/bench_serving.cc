@@ -44,7 +44,7 @@
 #include "tfb/obs/http_exporter.h"
 #include "tfb/obs/metrics.h"
 #include "tfb/pipeline/method_registry.h"
-#include "tfb/serve/json.h"
+#include "tfb/base/json.h"
 #include "tfb/serve/registry.h"
 #include "tfb/serve/service.h"
 #include "tfb/stats/rng.h"
@@ -76,7 +76,7 @@ std::string RequestBody() {
                      std::to_string(kHorizon) + ",\"history\":[";
   for (std::size_t t = 0; t < history.length(); ++t) {
     if (t != 0) body += ',';
-    serve::AppendJsonDouble(&body, history.at(t, 0));
+    base::AppendJsonDouble(&body, history.at(t, 0));
   }
   body += "]}";
   return body;

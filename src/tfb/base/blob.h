@@ -5,19 +5,22 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tfb/base/status.h"
 
 /// \file
-/// Compact binary blob codec for fitted-model serialization (the "Serving
-/// plane" section of DESIGN.md). Fixed little-endian layout, no alignment
-/// padding, doubles carried as IEEE-754 bit patterns — a blob written on
-/// one host decodes to bit-identical values on another, which is what lets
-/// the serving plane promise byte-exact save -> load -> Forecast round
-/// trips. BlobReader is fully bounds-checked: every read on a truncated or
-/// corrupted blob returns a clean INVALID_INPUT Status (with the offending
-/// offset) instead of reading past the end.
+/// The one binary codec of the tree: fitted models (TFBM files, the
+/// "Serving plane" section of DESIGN.md) and the shard transport's task,
+/// runner-options and telemetry payloads. Fixed little-endian layout, no
+/// alignment padding, doubles carried as IEEE-754 bit patterns — a blob
+/// written on one host decodes to bit-identical values on another, which
+/// is what lets the serving plane promise byte-exact save -> load ->
+/// Forecast round trips and a marshalled task evaluate exactly like an
+/// inherited one. BlobReader is fully bounds-checked: every read on a
+/// truncated or corrupted blob returns a clean INVALID_INPUT Status (with
+/// the offending offset) instead of reading past the end.
 
 namespace tfb::base {
 
@@ -62,13 +65,14 @@ class BlobWriter {
   std::string out_;
 };
 
-/// Sequential bounds-checked reader over a byte string. Every Read*
-/// returns a Status; after the first failure the reader stays usable (the
-/// cursor does not advance on failure) but callers normally bail via
+/// Sequential bounds-checked reader over a byte string it does not own (a
+/// frame payload is read in place, without a copy). Every Read* returns a
+/// Status; after the first failure the reader stays usable (the cursor
+/// does not advance on failure) but callers normally bail via
 /// TFB_RETURN_IF_ERROR.
 class BlobReader {
  public:
-  explicit BlobReader(const std::string& bytes) : bytes_(bytes) {}
+  explicit BlobReader(std::string_view bytes) : bytes_(bytes) {}
   BlobReader(const BlobReader&) = delete;
   BlobReader& operator=(const BlobReader&) = delete;
 
@@ -128,7 +132,7 @@ class BlobReader {
                                   std::to_string(pos_) + " overruns blob of " +
                                   std::to_string(bytes_.size()));
     }
-    s->assign(bytes_, pos_, static_cast<std::size_t>(len));
+    s->assign(bytes_.substr(pos_, static_cast<std::size_t>(len)));
     pos_ += static_cast<std::size_t>(len);
     return Status::Ok();
   }
@@ -161,7 +165,7 @@ class BlobReader {
     return Status::Ok();
   }
 
-  const std::string& bytes_;
+  std::string_view bytes_;
   std::size_t pos_ = 0;
 };
 

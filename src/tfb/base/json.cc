@@ -1,10 +1,10 @@
-#include "tfb/serve/json.h"
+#include "tfb/base/json.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace tfb::serve {
+namespace tfb::base {
 
 namespace {
 
@@ -14,19 +14,19 @@ class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
-  base::Status Parse(JsonValue* out) {
+  Status Parse(JsonValue* out) {
     TFB_RETURN_IF_ERROR(ParseValue(out, 0));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after JSON document");
     }
-    return base::Status::Ok();
+    return Status::Ok();
   }
 
  private:
-  base::Status Error(const std::string& what) const {
-    return base::Status::InvalidInput("JSON parse error at byte " +
-                                      std::to_string(pos_) + ": " + what);
+  Status Error(const std::string& what) const {
+    return Status::InvalidInput("JSON parse error at byte " +
+                                std::to_string(pos_) + ": " + what);
   }
 
   void SkipWhitespace() {
@@ -45,7 +45,7 @@ class Parser {
     return false;
   }
 
-  base::Status ParseValue(JsonValue* out, int depth) {
+  Status ParseValue(JsonValue* out, int depth) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
@@ -63,7 +63,7 @@ class Parser {
           out->kind = JsonValue::Kind::kBool;
           out->boolean = true;
           pos_ += 4;
-          return base::Status::Ok();
+          return Status::Ok();
         }
         return Error("bad literal");
       case 'f':
@@ -71,14 +71,14 @@ class Parser {
           out->kind = JsonValue::Kind::kBool;
           out->boolean = false;
           pos_ += 5;
-          return base::Status::Ok();
+          return Status::Ok();
         }
         return Error("bad literal");
       case 'n':
         if (text_.compare(pos_, 4, "null") == 0) {
           out->kind = JsonValue::Kind::kNull;
           pos_ += 4;
-          return base::Status::Ok();
+          return Status::Ok();
         }
         return Error("bad literal");
       default:
@@ -87,11 +87,11 @@ class Parser {
     }
   }
 
-  base::Status ParseObject(JsonValue* out, int depth) {
+  Status ParseObject(JsonValue* out, int depth) {
     ++pos_;  // '{'
     out->kind = JsonValue::Kind::kObject;
     SkipWhitespace();
-    if (Consume('}')) return base::Status::Ok();
+    if (Consume('}')) return Status::Ok();
     while (true) {
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
@@ -106,35 +106,35 @@ class Parser {
       out->object.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume('}')) return base::Status::Ok();
+      if (Consume('}')) return Status::Ok();
       return Error("expected ',' or '}' in object");
     }
   }
 
-  base::Status ParseArray(JsonValue* out, int depth) {
+  Status ParseArray(JsonValue* out, int depth) {
     ++pos_;  // '['
     out->kind = JsonValue::Kind::kArray;
     SkipWhitespace();
-    if (Consume(']')) return base::Status::Ok();
+    if (Consume(']')) return Status::Ok();
     while (true) {
       JsonValue value;
       TFB_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
       out->array.push_back(std::move(value));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume(']')) return base::Status::Ok();
+      if (Consume(']')) return Status::Ok();
       return Error("expected ',' or ']' in array");
     }
   }
 
-  base::Status ParseString(std::string* out) {
+  Status ParseString(std::string* out) {
     ++pos_;  // '"'
     out->clear();
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
-        return base::Status::Ok();
+        return Status::Ok();
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         return Error("unescaped control character in string");
@@ -190,7 +190,7 @@ class Parser {
     return Error("unterminated string");
   }
 
-  base::Status ParseNumber(JsonValue* out) {
+  Status ParseNumber(JsonValue* out) {
     const char* begin = text_.c_str() + pos_;
     char* end = nullptr;
     const double value = std::strtod(begin, &end);
@@ -199,7 +199,7 @@ class Parser {
     pos_ += static_cast<std::size_t>(end - begin);
     out->kind = JsonValue::Kind::kNumber;
     out->number = value;
-    return base::Status::Ok();
+    return Status::Ok();
   }
 
   const std::string& text_;
@@ -216,13 +216,13 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
-base::Status ParseJson(const std::string& text, JsonValue* out) {
+Status ParseJson(const std::string& text, JsonValue* out) {
   *out = JsonValue();
   Parser parser(text);
   return parser.Parse(out);
 }
 
-void AppendJsonString(std::string* out, const std::string& value) {
+void AppendJsonString(std::string* out, std::string_view value) {
   out->push_back('"');
   for (const char c : value) {
     switch (c) {
@@ -255,4 +255,4 @@ void AppendJsonDouble(std::string* out, double value) {
   *out += buf;
 }
 
-}  // namespace tfb::serve
+}  // namespace tfb::base

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <ctime>
 
+#include "tfb/base/json.h"
+
 namespace tfb::obs {
 
 namespace {
@@ -110,28 +112,6 @@ std::optional<LogLevel> ParseLogLevel(const std::string& name) {
   return std::nullopt;
 }
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 Logger::~Logger() { CloseJsonlSink(); }
 
 void Logger::SetTextSink(std::FILE* sink) {
@@ -186,12 +166,12 @@ void Logger::Log(LogLevel level, std::string_view message,
     jsonl += "\",\"level\":\"";
     jsonl += JsonLevelName(level);
     jsonl += "\",\"msg\":";
-    AppendJsonString(&jsonl, message);
+    base::AppendJsonString(&jsonl, message);
     for (const LogField& field : fields) {
       jsonl += ',';
-      AppendJsonString(&jsonl, field.key);
+      base::AppendJsonString(&jsonl, field.key);
       jsonl += ':';
-      AppendJsonString(&jsonl, field.value);
+      base::AppendJsonString(&jsonl, field.value);
     }
     jsonl += "}\n";
   }

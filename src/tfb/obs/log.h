@@ -137,12 +137,6 @@ class Logger {
 /// The process-wide logger every pipeline call site writes to.
 Logger& DefaultLogger();
 
-/// JSON string escaping shared by the telemetry emitters (JSONL log lines,
-/// the /status payload): appends `s` to `out` as a quoted JSON string,
-/// escaping `"`/`\`, control characters, and common whitespace escapes.
-/// Bytes >= 0x80 pass through untouched (UTF-8 stays UTF-8).
-void AppendJsonString(std::string* out, std::string_view s);
-
 }  // namespace tfb::obs
 
 #endif  // TFB_OBS_LOG_H_

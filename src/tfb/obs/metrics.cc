@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "tfb/base/check.h"
+#include "tfb/base/json.h"
 
 namespace tfb::obs {
 
@@ -29,28 +30,6 @@ std::string FormatBound(double bound) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%g", bound);
   return buf;
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 /// Splits an embedded-label name into (base, labels): "a{b=\"c\"}" ->
@@ -259,7 +238,7 @@ std::string Registry::ToJson() const {
                                  double value) {
     if (!first) out += ",";
     first = false;
-    AppendJsonEscaped(&out, name);
+    base::AppendJsonString(&out, name);
     out += ":{\"type\":\"";
     out += kind;
     out += "\",\"value\":" + FormatDouble(value) + "}";
@@ -271,7 +250,7 @@ std::string Registry::ToJson() const {
   for (const auto& [name, h] : histograms) {
     if (!first) out += ",";
     first = false;
-    AppendJsonEscaped(&out, name);
+    base::AppendJsonString(&out, name);
     // Quantiles of an empty histogram are undefined; render null so a
     // dashboard cannot mistake "no data yet" for a measured 0.
     const bool empty = h->Count() == 0;

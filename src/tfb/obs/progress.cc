@@ -6,6 +6,7 @@
 #include <cctype>
 #include <cmath>
 
+#include "tfb/base/json.h"
 #include "tfb/obs/log.h"
 
 namespace tfb::obs {
@@ -299,7 +300,7 @@ std::string ProgressTracker::StatusJson(const std::string& run_id) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const ProgressSnapshot s = SnapshotLocked();
   std::string out = "{\"run_id\":";
-  AppendJsonString(&out, run_id);
+  base::AppendJsonString(&out, run_id);
   out += ",\"active\":";
   out += s.active ? "true" : "false";
   out += ",\"total\":" + std::to_string(s.total);
@@ -322,7 +323,7 @@ std::string ProgressTracker::StatusJson(const std::string& run_id) const {
   for (const auto& [method, tally] : by_method_) {
     if (!first) out += ',';
     first = false;
-    AppendJsonString(&out, method);
+    base::AppendJsonString(&out, method);
     out += ":{\"completed\":" + std::to_string(tally.completed);
     out += ",\"failed\":" + std::to_string(tally.failed);
     out += ",\"fallback\":" + std::to_string(tally.fallback);
@@ -333,7 +334,8 @@ std::string ProgressTracker::StatusJson(const std::string& run_id) const {
     const ShardStats& sh = shard_stats_;
     out += ",\"shard\":{";
     out += "\"transport\":";
-    AppendJsonString(&out, sh.transport.empty() ? "socketpair" : sh.transport);
+    base::AppendJsonString(
+        &out, sh.transport.empty() ? "socketpair" : sh.transport);
     out += ",\"workers\":" + std::to_string(sh.workers);
     out += ",\"workers_live\":" + std::to_string(sh.workers_live);
     out += ",\"workers_spawned\":" + std::to_string(sh.workers_spawned);

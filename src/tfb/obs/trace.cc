@@ -11,6 +11,8 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include "tfb/base/json.h"
+
 namespace tfb::obs {
 
 namespace {
@@ -29,27 +31,6 @@ std::int64_t CurrentTid() {
   return static_cast<std::int64_t>(
       std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0x7fffffff);
 #endif
-}
-
-void AppendEscaped(std::string* out, const char* s) {
-  out->push_back('"');
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -169,9 +150,9 @@ std::string Tracer::ToJson() const {
     const TraceEvent& e = events[i];
     if (i > 0) out += ",";
     out += "{\"name\":";
-    AppendEscaped(&out, e.name);
+    base::AppendJsonString(&out, e.name);
     out += ",\"cat\":";
-    AppendEscaped(&out, e.category);
+    base::AppendJsonString(&out, e.category);
     out += ",\"ph\":\"";
     out.push_back(e.phase);
     out += "\",\"ts\":";
@@ -237,9 +218,9 @@ std::string ArgsJson(
   std::string out;
   for (const auto& [key, value] : pairs) {
     if (!out.empty()) out += ",";
-    AppendEscaped(&out, key);
+    base::AppendJsonString(&out, key);
     out += ":";
-    AppendEscaped(&out, value.c_str());
+    base::AppendJsonString(&out, value);
   }
   return out;
 }

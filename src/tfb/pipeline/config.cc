@@ -98,10 +98,11 @@ std::optional<BenchmarkConfig> ParseConfig(const std::string& text,
         config.metrics.push_back(*metric);
       }
     } else if (key == "strategy") {
-      if (value != "rolling" && value != "fixed") {
-        return fail("strategy must be rolling or fixed");
+      // Accepted for existing configs; BuildTasks only knows one protocol.
+      if (value != "rolling") {
+        return fail("strategy must be rolling: the pipeline runs the "
+                    "rolling strategy only");
       }
-      config.strategy = value;
     } else if (key == "scaler") {
       if (value == "zscore") {
         config.scaler = ts::ScalerKind::kZScore;
@@ -288,7 +289,6 @@ std::string ConfigToString(const BenchmarkConfig& config) {
      << join(config.metrics,
              [](eval::Metric m) { return eval::MetricName(m); })
      << '\n';
-  os << "strategy = " << config.strategy << '\n';
   os << "scaler = "
      << (config.scaler == ts::ScalerKind::kZScore
              ? "zscore"

@@ -16,7 +16,8 @@ namespace tfb::pipeline {
 /// configuration files (Section 4.4: "it provides a standard configuration
 /// file that can be customized by users"). Text format: one `key = value`
 /// per line, `#` comments, with `datasets`, `methods`, `horizons` and
-/// `metrics` as comma-separated lists.
+/// `metrics` as comma-separated lists. `strategy = rolling` is accepted
+/// for older configs; it is the only protocol the pipeline runs.
 ///
 /// Example:
 ///   # my_run.conf
@@ -24,7 +25,6 @@ namespace tfb::pipeline {
 ///   methods  = VAR, NLinear, PatchAttention
 ///   horizons = 12, 24
 ///   metrics  = mae, mse, smape
-///   strategy = rolling
 ///   scaler   = zscore
 ///   max_windows = 4
 ///   train_epochs = 10
@@ -35,7 +35,6 @@ struct BenchmarkConfig {
   std::vector<std::string> methods;
   std::vector<std::size_t> horizons = {12};
   std::vector<eval::Metric> metrics = {eval::Metric::kMae, eval::Metric::kMse};
-  std::string strategy = "rolling";  ///< "rolling" or "fixed".
   ts::ScalerKind scaler = ts::ScalerKind::kZScore;
   std::size_t max_windows = 4;
   std::size_t stride = 0;

@@ -1,12 +1,8 @@
 #include "tfb/pipeline/journal.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <unordered_set>
 
 #include <fcntl.h>
@@ -14,178 +10,55 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "tfb/base/io.h"
+#include "tfb/base/json.h"
 #include "tfb/pipeline/config.h"
 
 namespace tfb::pipeline {
 
-namespace {
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-// %.17g: doubles survive the write/parse round trip bit-exactly, so a
-// resumed run reports identical metrics to the run that wrote the journal.
-void AppendDouble(std::string* out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-/// Minimal cursor-based parser for the journal's flat JSON shape (strings,
-/// numbers, booleans, and one level of nested object for "metrics").
-struct Cursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void SkipWs() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos >= text.size() || text[pos] != '"') return false;
-    ++pos;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        const char esc = text[pos++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return false;
-            const long code = std::strtol(text.substr(pos, 4).c_str(),
-                                          nullptr, 16);
-            pos += 4;
-            c = (code > 0 && code < 0x80) ? static_cast<char>(code) : '?';
-            break;
-          }
-          default: c = esc;
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos >= text.size()) return false;
-    ++pos;  // Closing quote.
-    return true;
-  }
-  bool ParseNumber(double* out) {
-    SkipWs();
-    const char* begin = text.c_str() + pos;
-    char* end = nullptr;
-    *out = std::strtod(begin, &end);
-    if (end == begin) return false;
-    pos += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-  bool ParseBool(bool* out) {
-    SkipWs();
-    if (text.compare(pos, 4, "true") == 0) {
-      pos += 4;
-      *out = true;
-      return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      pos += 5;
-      *out = false;
-      return true;
-    }
-    return false;
-  }
-};
-
-bool ParseMetrics(Cursor* c, std::map<eval::Metric, double>* metrics) {
-  if (!c->Eat('{')) return false;
-  if (c->Eat('}')) return true;
-  do {
-    std::string name;
-    double value = 0.0;
-    if (!c->ParseString(&name) || !c->Eat(':') || !c->ParseNumber(&value)) {
-      return false;
-    }
-    // Unknown metric names are tolerated (a newer journal read by older
-    // code should not fail the whole resume).
-    if (const auto metric = MetricFromName(name)) (*metrics)[*metric] = value;
-  } while (c->Eat(','));
-  return c->Eat('}');
-}
-
-}  // namespace
-
 std::string JournalLine(const ResultRow& row) {
   std::string out = "{\"dataset\":";
-  AppendEscaped(&out, row.dataset);
+  base::AppendJsonString(&out, row.dataset);
   out += ",\"method\":";
-  AppendEscaped(&out, row.method);
+  base::AppendJsonString(&out, row.method);
   out += ",\"horizon\":" + std::to_string(row.horizon);
   out += ",\"ok\":";
   out += row.ok ? "true" : "false";
   out += ",\"error\":";
-  AppendEscaped(&out, row.error);
+  base::AppendJsonString(&out, row.error);
   out += ",\"selected_config\":";
-  AppendEscaped(&out, row.selected_config);
+  base::AppendJsonString(&out, row.selected_config);
   out += ",\"used_fallback\":";
   out += row.used_fallback ? "true" : "false";
   out += ",\"note\":";
-  AppendEscaped(&out, row.note);
+  base::AppendJsonString(&out, row.note);
   out += ",\"attempts\":" + std::to_string(row.attempts);
   out += ",\"num_windows\":" + std::to_string(row.num_windows);
   out += ",\"fit_seconds\":";
-  AppendDouble(&out, row.fit_seconds);
+  base::AppendJsonDouble(&out, row.fit_seconds);
   out += ",\"inference_ms_per_window\":";
-  AppendDouble(&out, row.inference_ms_per_window);
+  base::AppendJsonDouble(&out, row.inference_ms_per_window);
   out += ",\"cpu_user_seconds\":";
-  AppendDouble(&out, row.cpu_user_seconds);
+  base::AppendJsonDouble(&out, row.cpu_user_seconds);
   out += ",\"cpu_sys_seconds\":";
-  AppendDouble(&out, row.cpu_sys_seconds);
+  base::AppendJsonDouble(&out, row.cpu_sys_seconds);
   out += ",\"peak_rss_mb\":";
-  AppendDouble(&out, row.peak_rss_mb);
+  base::AppendJsonDouble(&out, row.peak_rss_mb);
   // Only present on rows that carry one (failed sandboxed tasks): the
   // common all-ok journal stays byte-for-byte what it was before this field
   // existed, and older readers tolerate the extra key anyway.
   if (!row.stderr_tail.empty()) {
     out += ",\"stderr_tail\":";
-    AppendEscaped(&out, row.stderr_tail);
+    base::AppendJsonString(&out, row.stderr_tail);
   }
   out += ",\"metrics\":{";
   bool first = true;
   for (const auto& [metric, value] : row.metrics) {
     if (!first) out += ",";
     first = false;
-    AppendEscaped(&out, eval::MetricName(metric));
+    base::AppendJsonString(&out, eval::MetricName(metric));
     out += ":";
-    AppendDouble(&out, value);
+    base::AppendJsonDouble(&out, value);
   }
   out += "}}";
   return out;
@@ -213,78 +86,91 @@ bool AppendJournal(const std::string& path, const ResultRow& row,
       line.insert(line.begin(), '\n');
     }
   }
-  bool ok = true;
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n =
-        write(fd, line.data() + written, line.size() - written);
-    if (n > 0) {
-      written += static_cast<std::size_t>(n);
-    } else if (n < 0 && errno == EINTR) {
-      continue;
-    } else {
-      ok = false;
-      break;
-    }
-  }
+  bool ok = base::WriteAll(fd, line);
   if (ok && options.fsync_each_row && fsync(fd) != 0) ok = false;
   flock(fd, LOCK_UN);
   close(fd);
   return ok;
 }
 
+namespace {
+
+bool ReadString(const base::JsonValue& value, std::string* out) {
+  if (!value.is_string()) return false;
+  *out = value.string;
+  return true;
+}
+
+bool ReadBool(const base::JsonValue& value, bool* out) {
+  if (value.kind != base::JsonValue::Kind::kBool) return false;
+  *out = value.boolean;
+  return true;
+}
+
+bool ReadMetrics(const base::JsonValue& value,
+                 std::map<eval::Metric, double>* metrics) {
+  if (!value.is_object()) return false;
+  for (const auto& [name, number] : value.object) {
+    if (!number.is_number()) return false;
+    // Unknown metric names are tolerated (a newer journal read by older
+    // code should not fail the whole resume).
+    if (const auto metric = MetricFromName(name)) {
+      (*metrics)[*metric] = number.number;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 bool ParseJournalLine(const std::string& line, ResultRow* row) {
-  Cursor c{line};
-  if (!c.Eat('{')) return false;
-  if (c.Eat('}')) return true;
-  do {
-    std::string key;
-    if (!c.ParseString(&key) || !c.Eat(':')) return false;
+  base::JsonValue doc;
+  if (!base::ParseJson(line, &doc).ok() || !doc.is_object()) return false;
+  for (const auto& [key, value] : doc.object) {
     bool parsed;
     if (key == "dataset") {
-      parsed = c.ParseString(&row->dataset);
+      parsed = ReadString(value, &row->dataset);
     } else if (key == "method") {
-      parsed = c.ParseString(&row->method);
+      parsed = ReadString(value, &row->method);
     } else if (key == "error") {
-      parsed = c.ParseString(&row->error);
+      parsed = ReadString(value, &row->error);
     } else if (key == "selected_config") {
-      parsed = c.ParseString(&row->selected_config);
+      parsed = ReadString(value, &row->selected_config);
     } else if (key == "note") {
-      parsed = c.ParseString(&row->note);
+      parsed = ReadString(value, &row->note);
     } else if (key == "stderr_tail") {
-      parsed = c.ParseString(&row->stderr_tail);
+      parsed = ReadString(value, &row->stderr_tail);
     } else if (key == "ok") {
-      parsed = c.ParseBool(&row->ok);
+      parsed = ReadBool(value, &row->ok);
     } else if (key == "used_fallback") {
-      parsed = c.ParseBool(&row->used_fallback);
+      parsed = ReadBool(value, &row->used_fallback);
     } else if (key == "metrics") {
-      parsed = ParseMetrics(&c, &row->metrics);
+      parsed = ReadMetrics(value, &row->metrics);
     } else {
-      double value = 0.0;
-      parsed = c.ParseNumber(&value);
-      if (parsed) {
-        if (key == "horizon") {
-          row->horizon = static_cast<std::size_t>(value);
-        } else if (key == "attempts") {
-          row->attempts = static_cast<std::size_t>(value);
-        } else if (key == "num_windows") {
-          row->num_windows = static_cast<std::size_t>(value);
-        } else if (key == "fit_seconds") {
-          row->fit_seconds = value;
-        } else if (key == "inference_ms_per_window") {
-          row->inference_ms_per_window = value;
-        } else if (key == "cpu_user_seconds") {
-          row->cpu_user_seconds = value;
-        } else if (key == "cpu_sys_seconds") {
-          row->cpu_sys_seconds = value;
-        } else if (key == "peak_rss_mb") {
-          row->peak_rss_mb = value;
-        }  // Unknown numeric keys are tolerated for forward compatibility.
-      }
+      if (!value.is_number()) return false;
+      parsed = true;
+      const double v = value.number;
+      if (key == "horizon") {
+        row->horizon = static_cast<std::size_t>(v);
+      } else if (key == "attempts") {
+        row->attempts = static_cast<std::size_t>(v);
+      } else if (key == "num_windows") {
+        row->num_windows = static_cast<std::size_t>(v);
+      } else if (key == "fit_seconds") {
+        row->fit_seconds = v;
+      } else if (key == "inference_ms_per_window") {
+        row->inference_ms_per_window = v;
+      } else if (key == "cpu_user_seconds") {
+        row->cpu_user_seconds = v;
+      } else if (key == "cpu_sys_seconds") {
+        row->cpu_sys_seconds = v;
+      } else if (key == "peak_rss_mb") {
+        row->peak_rss_mb = v;
+      }  // Unknown numeric keys are tolerated for forward compatibility.
     }
     if (!parsed) return false;
-  } while (c.Eat(','));
-  return c.Eat('}');
+  }
+  return true;
 }
 
 std::vector<ResultRow> LoadJournal(const std::string& path,
@@ -348,20 +234,7 @@ bool RewriteJournal(const std::string& path,
     buffer += JournalLine(row);
     buffer += '\n';
   }
-  bool ok = true;
-  std::size_t written = 0;
-  while (written < buffer.size()) {
-    const ssize_t n =
-        write(fd, buffer.data() + written, buffer.size() - written);
-    if (n > 0) {
-      written += static_cast<std::size_t>(n);
-    } else if (n < 0 && errno == EINTR) {
-      continue;
-    } else {
-      ok = false;
-      break;
-    }
-  }
+  bool ok = base::WriteAll(fd, buffer);
   if (ok && fsync_file && fsync(fd) != 0) ok = false;
   close(fd);
   if (!ok) {

@@ -83,14 +83,20 @@ class ShardWorker {
       if (*hb > 0.0) heartbeat_seconds = *hb;
       heartbeat_seconds_ = heartbeat_seconds;
       runner_options_ = options;
-      telemetry_ = telemetry;
-      if (telemetry_) {
+      if (telemetry) {
         // The coordinator wants this worker's spans and metric deltas.
         // Enable() only once — re-enabling on a reconnect would drop spans
         // recorded while the link was down.
         obs::SetEnabled(true);
         if (!obs::DefaultTracer().enabled()) obs::DefaultTracer().Enable();
+        if (!telemetry_) {
+          // First telemetry WELCOME: what a forked worker inherited from
+          // the coordinator is not this worker's to ship.
+          const std::lock_guard<std::mutex> lock(telemetry_mutex_);
+          collector_.ResetBaseline();
+        }
       }
+      telemetry_ = telemetry;
     }
 
     // Replay the retained ROW frames of a shard interrupted by the previous

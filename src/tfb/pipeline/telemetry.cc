@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 
+#include "tfb/base/blob.h"
 #include "tfb/pipeline/wire.h"
 
 namespace tfb::pipeline {
@@ -20,6 +21,80 @@ namespace {
 constexpr std::uint64_t kMaxSpans = 1 << 20;
 constexpr std::uint64_t kMaxInstruments = 1 << 16;
 constexpr std::uint64_t kMaxBuckets = 1 << 12;
+
+base::Status ReadCount(base::BlobReader* r, std::uint64_t cap,
+                       std::uint64_t* count) {
+  TFB_RETURN_IF_ERROR(r->ReadU64(count));
+  if (*count > cap) return base::Status::InvalidInput("count over cap");
+  return base::Status::Ok();
+}
+
+/// Reads the `count`-prefixed name -> value map of counters or gauges.
+base::Status ReadNamedValues(base::BlobReader* r,
+                             std::map<std::string, double>* out) {
+  std::uint64_t count = 0;
+  TFB_RETURN_IF_ERROR(ReadCount(r, kMaxInstruments, &count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string name;
+    double value = 0.0;
+    TFB_RETURN_IF_ERROR(r->ReadString(&name));
+    TFB_RETURN_IF_ERROR(r->ReadDouble(&value));
+    (*out)[std::move(name)] = value;
+  }
+  return base::Status::Ok();
+}
+
+base::Status ReadTelemetry(base::BlobReader* r, WorkerTelemetry* out) {
+  std::uint64_t version = 0;
+  TFB_RETURN_IF_ERROR(r->ReadU64(&version));
+  if (version != kTelemetryBlobVersion) {
+    return base::Status::InvalidInput("telemetry blob version mismatch");
+  }
+  TFB_RETURN_IF_ERROR(r->ReadU64(&out->pid));
+  TFB_RETURN_IF_ERROR(r->ReadU64(&out->seq));
+  TFB_RETURN_IF_ERROR(r->ReadU64(&out->trace_id));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->cpu_seconds));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->peak_rss_mb));
+  TFB_RETURN_IF_ERROR(r->ReadU64(&out->tasks_completed));
+  std::uint64_t count = 0;
+  TFB_RETURN_IF_ERROR(ReadCount(r, kMaxSpans, &count));
+  out->spans.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    WorkerTelemetry::Span& s = out->spans.emplace_back();
+    std::uint8_t phase = 0;
+    TFB_RETURN_IF_ERROR(r->ReadString(&s.name));
+    TFB_RETURN_IF_ERROR(r->ReadString(&s.category));
+    TFB_RETURN_IF_ERROR(r->ReadString(&s.args));
+    TFB_RETURN_IF_ERROR(r->ReadU8(&phase));
+    TFB_RETURN_IF_ERROR(r->ReadDouble(&s.ts_us));
+    TFB_RETURN_IF_ERROR(r->ReadDouble(&s.dur_us));
+    TFB_RETURN_IF_ERROR(r->ReadI64(&s.tid));
+    s.phase = static_cast<char>(phase);
+  }
+  TFB_RETURN_IF_ERROR(ReadNamedValues(r, &out->counter_deltas));
+  TFB_RETURN_IF_ERROR(ReadNamedValues(r, &out->gauges));
+  TFB_RETURN_IF_ERROR(ReadCount(r, kMaxInstruments, &count));
+  out->histograms.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    WorkerTelemetry::HistogramDelta& h = out->histograms.emplace_back();
+    std::uint64_t n = 0;
+    TFB_RETURN_IF_ERROR(r->ReadString(&h.name));
+    TFB_RETURN_IF_ERROR(ReadCount(r, kMaxBuckets, &n));
+    h.bounds.resize(static_cast<std::size_t>(n));
+    for (double& b : h.bounds) TFB_RETURN_IF_ERROR(r->ReadDouble(&b));
+    TFB_RETURN_IF_ERROR(r->ReadU64(&n));
+    if (n != h.bounds.size() + 1) {
+      return base::Status::InvalidInput("bucket count != bounds + 1");
+    }
+    h.bucket_deltas.resize(static_cast<std::size_t>(n));
+    for (std::uint64_t& c : h.bucket_deltas) {
+      TFB_RETURN_IF_ERROR(r->ReadU64(&c));
+    }
+    TFB_RETURN_IF_ERROR(r->ReadDouble(&h.sum_delta));
+  }
+  if (!r->exhausted()) return base::Status::InvalidInput("trailing bytes");
+  return base::Status::Ok();
+}
 
 }  // namespace
 
@@ -52,106 +127,50 @@ double EstimateClockOffset(const std::vector<PingSample>& samples) {
 }
 
 std::string SerializeWorkerTelemetry(const WorkerTelemetry& telemetry) {
-  WireWriter w;
-  w.U64(kTelemetryBlobVersion);
-  w.U64(telemetry.pid);
-  w.U64(telemetry.seq);
-  w.U64(telemetry.trace_id);
-  w.F64(telemetry.cpu_seconds);
-  w.F64(telemetry.peak_rss_mb);
-  w.U64(telemetry.tasks_completed);
-  w.U64(telemetry.spans.size());
+  base::BlobWriter w;
+  w.PutU64(kTelemetryBlobVersion);
+  w.PutU64(telemetry.pid);
+  w.PutU64(telemetry.seq);
+  w.PutU64(telemetry.trace_id);
+  w.PutDouble(telemetry.cpu_seconds);
+  w.PutDouble(telemetry.peak_rss_mb);
+  w.PutU64(telemetry.tasks_completed);
+  w.PutU64(telemetry.spans.size());
   for (const WorkerTelemetry::Span& s : telemetry.spans) {
-    w.Str(s.name);
-    w.Str(s.category);
-    w.Str(s.args);
-    w.U8(static_cast<std::uint8_t>(s.phase));
-    w.F64(s.ts_us);
-    w.F64(s.dur_us);
-    w.U64(static_cast<std::uint64_t>(s.tid));
+    w.PutString(s.name);
+    w.PutString(s.category);
+    w.PutString(s.args);
+    w.PutU8(static_cast<std::uint8_t>(s.phase));
+    w.PutDouble(s.ts_us);
+    w.PutDouble(s.dur_us);
+    w.PutI64(s.tid);
   }
-  w.U64(telemetry.counter_deltas.size());
+  w.PutU64(telemetry.counter_deltas.size());
   for (const auto& [name, delta] : telemetry.counter_deltas) {
-    w.Str(name);
-    w.F64(delta);
+    w.PutString(name);
+    w.PutDouble(delta);
   }
-  w.U64(telemetry.gauges.size());
+  w.PutU64(telemetry.gauges.size());
   for (const auto& [name, value] : telemetry.gauges) {
-    w.Str(name);
-    w.F64(value);
+    w.PutString(name);
+    w.PutDouble(value);
   }
-  w.U64(telemetry.histograms.size());
+  w.PutU64(telemetry.histograms.size());
   for (const WorkerTelemetry::HistogramDelta& h : telemetry.histograms) {
-    w.Str(h.name);
-    w.U64(h.bounds.size());
-    for (const double b : h.bounds) w.F64(b);
-    w.U64(h.bucket_deltas.size());
-    for (const std::uint64_t c : h.bucket_deltas) w.U64(c);
-    w.F64(h.sum_delta);
+    w.PutString(h.name);
+    w.PutDoubleVector(h.bounds);
+    w.PutU64(h.bucket_deltas.size());
+    for (const std::uint64_t c : h.bucket_deltas) w.PutU64(c);
+    w.PutDouble(h.sum_delta);
   }
-  return w.Take();
+  return w.TakeBytes();
 }
 
 bool DeserializeWorkerTelemetry(std::string_view payload,
                                 WorkerTelemetry* telemetry) {
-  WireReader r(payload);
-  std::uint64_t version = 0;
-  if (!r.U64(&version) || version != kTelemetryBlobVersion) return false;
+  base::BlobReader r(payload);
   WorkerTelemetry out;
-  if (!r.U64(&out.pid) || !r.U64(&out.seq) || !r.U64(&out.trace_id) ||
-      !r.F64(&out.cpu_seconds) || !r.F64(&out.peak_rss_mb) ||
-      !r.U64(&out.tasks_completed)) {
-    return false;
-  }
-  std::uint64_t count = 0;
-  if (!r.U64(&count) || count > kMaxSpans) return false;
-  out.spans.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    WorkerTelemetry::Span s;
-    std::uint8_t phase = 0;
-    std::uint64_t tid = 0;
-    if (!r.Str(&s.name) || !r.Str(&s.category) || !r.Str(&s.args) ||
-        !r.U8(&phase) || !r.F64(&s.ts_us) || !r.F64(&s.dur_us) ||
-        !r.U64(&tid)) {
-      return false;
-    }
-    s.phase = static_cast<char>(phase);
-    s.tid = static_cast<std::int64_t>(tid);
-    out.spans.push_back(std::move(s));
-  }
-  if (!r.U64(&count) || count > kMaxInstruments) return false;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    double delta = 0.0;
-    if (!r.Str(&name) || !r.F64(&delta)) return false;
-    out.counter_deltas[std::move(name)] = delta;
-  }
-  if (!r.U64(&count) || count > kMaxInstruments) return false;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    double value = 0.0;
-    if (!r.Str(&name) || !r.F64(&value)) return false;
-    out.gauges[std::move(name)] = value;
-  }
-  if (!r.U64(&count) || count > kMaxInstruments) return false;
-  out.histograms.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    WorkerTelemetry::HistogramDelta h;
-    std::uint64_t n = 0;
-    if (!r.Str(&h.name) || !r.U64(&n) || n > kMaxBuckets) return false;
-    h.bounds.resize(static_cast<std::size_t>(n));
-    for (double& b : h.bounds) {
-      if (!r.F64(&b)) return false;
-    }
-    if (!r.U64(&n) || n != h.bounds.size() + 1) return false;
-    h.bucket_deltas.resize(static_cast<std::size_t>(n));
-    for (std::uint64_t& c : h.bucket_deltas) {
-      if (!r.U64(&c)) return false;
-    }
-    if (!r.F64(&h.sum_delta)) return false;
-    out.histograms.push_back(std::move(h));
-  }
-  if (!r.AtEnd()) return false;
+  if (!ReadTelemetry(&r, &out).ok()) return false;
   *telemetry = std::move(out);
   return true;
 }
@@ -213,6 +232,11 @@ WorkerTelemetry TelemetryCollector::Collect(std::uint64_t trace_id,
   }
   last_ = std::move(now);
   return out;
+}
+
+void TelemetryCollector::ResetBaseline() {
+  trace_cursor_ = obs::DefaultTracer().recorded();
+  last_ = obs::DefaultRegistry().TakeSnapshot();
 }
 
 std::string SpliceWorkerLabel(const std::string& name,

@@ -101,7 +101,7 @@ struct WorkerTelemetry {
   std::vector<HistogramDelta> histograms;
 };
 
-/// Binary blob form (WireWriter format, versioned).
+/// Binary blob form (base::BlobWriter format, versioned).
 std::string SerializeWorkerTelemetry(const WorkerTelemetry& telemetry);
 /// False on malformed/truncated input or a version mismatch.
 bool DeserializeWorkerTelemetry(std::string_view payload,
@@ -116,6 +116,12 @@ class TelemetryCollector {
   /// `trace_id`/`tasks_completed` are the caller's running state.
   WorkerTelemetry Collect(std::uint64_t trace_id,
                           std::uint64_t tasks_completed);
+
+  /// Moves the baseline to now: later batches ship only the spans and
+  /// counter/histogram changes recorded after this call. A forked worker
+  /// calls it when telemetry turns on, so the trace ring and metric totals
+  /// it inherited from the coordinator are not shipped as its own.
+  void ResetBaseline();
 
  private:
   obs::Registry::Snapshot last_;

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <thread>
 
+#include "tfb/base/crc32.h"
 #include "tfb/stats/rng.h"
 
 namespace tfb::pipeline {
@@ -46,27 +47,6 @@ std::uint32_t GetU32Le(const char* p) {
 
 }  // namespace
 
-std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  // Table generated once, on demand (poly 0xEDB88320, reflected IEEE).
-  static const std::uint32_t* kTable = [] {
-    static std::uint32_t table[256];
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
-  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 std::string EncodeFrame(const Frame& frame) {
   std::string out;
   out.reserve(kHeaderSize + frame.payload.size() + kTrailerSize);
@@ -76,7 +56,7 @@ std::string EncodeFrame(const Frame& frame) {
   PutU32Le(&out, static_cast<std::uint32_t>(frame.payload.size()));
   out.append(frame.payload);
   // CRC covers type + len + payload (everything after the magic).
-  const std::uint32_t crc = Crc32(out.data() + 2, out.size() - 2);
+  const std::uint32_t crc = base::Crc32(out.data() + 2, out.size() - 2);
   PutU32Le(&out, crc);
   return out;
 }
@@ -97,7 +77,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
   const std::size_t total = kHeaderSize + len + kTrailerSize;
   if (buffer_.size() < total) return Result::kNeedMore;
   const std::uint32_t want = GetU32Le(buffer_.data() + kHeaderSize + len);
-  const std::uint32_t got = Crc32(buffer_.data() + 2, 1 + 4 + len);
+  const std::uint32_t got = base::Crc32(buffer_.data() + 2, 1 + 4 + len);
   if (want != got) {
     if (error != nullptr) *error = "frame crc mismatch";
     return Result::kCorrupt;

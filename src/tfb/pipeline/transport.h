@@ -61,11 +61,6 @@ struct Frame {
 /// the length field must not make the decoder try to buffer gigabytes).
 inline constexpr std::size_t kMaxFramePayload = std::size_t{64} << 20;
 
-/// CRC32 (IEEE 802.3, reflected, init/final xor 0xFFFFFFFF) — the classic
-/// zlib crc32. Chainable: pass the previous return value as `seed`.
-std::uint32_t Crc32(const void* data, std::size_t size,
-                    std::uint32_t seed = 0);
-
 /// Serializes a frame to its wire form.
 std::string EncodeFrame(const Frame& frame);
 

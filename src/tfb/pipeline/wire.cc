@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
+#include "tfb/base/blob.h"
 #include "tfb/eval/metrics.h"
 #include "tfb/ts/scaler.h"
 #include "tfb/ts/time_series.h"
@@ -15,12 +15,134 @@ namespace {
 constexpr std::uint64_t kTaskBlobVersion = 1;
 constexpr std::uint64_t kOptionsBlobVersion = 2;  // v2: + telemetry flag.
 
-// Strings and series buffers inside a frame can never legitimately exceed
-// the frame payload cap; reject earlier so a corrupt length cannot drive a
-// huge allocation.
-constexpr std::size_t kMaxBlobString = std::size_t{64} << 20;
+// A series buffer inside a frame can never legitimately exceed the frame
+// payload cap; reject earlier so a corrupt shape cannot drive a huge
+// allocation. (Strings need no cap: BlobReader rejects any length beyond
+// the bytes that remain.)
+constexpr std::size_t kMaxSeriesBytes = std::size_t{64} << 20;
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// The Deserialize* entry points report only success, so the decoders'
+// error messages stay terse.
+base::Status Corrupt(const char* what) {
+  return base::Status::InvalidInput(std::string("corrupt blob: ") + what);
+}
+
+base::Status ReadSize(base::BlobReader* r, std::size_t* v) {
+  std::uint64_t u = 0;
+  TFB_RETURN_IF_ERROR(r->ReadU64(&u));
+  *v = static_cast<std::size_t>(u);
+  return base::Status::Ok();
+}
+
+base::Status ReadFlag(base::BlobReader* r, bool* v) {
+  std::uint8_t b = 0;
+  TFB_RETURN_IF_ERROR(r->ReadU8(&b));
+  if (b > 1) return Corrupt("flag byte");
+  *v = b != 0;
+  return base::Status::Ok();
+}
+
+/// Reads a u8-coded enum whose values run from 0 to `last`.
+template <typename Enum>
+base::Status ReadEnum(base::BlobReader* r, Enum last, Enum* v) {
+  std::uint8_t b = 0;
+  TFB_RETURN_IF_ERROR(r->ReadU8(&b));
+  if (b > static_cast<std::uint8_t>(last)) return Corrupt("enum value");
+  *v = static_cast<Enum>(b);
+  return base::Status::Ok();
+}
+
+base::Status ReadVersion(base::BlobReader* r, std::uint64_t expected) {
+  std::uint64_t version = 0;
+  TFB_RETURN_IF_ERROR(r->ReadU64(&version));
+  if (version != expected) return Corrupt("version");
+  return base::Status::Ok();
+}
+
+base::Status ReadTask(base::BlobReader* r, BenchmarkTask* out) {
+  TFB_RETURN_IF_ERROR(ReadVersion(r, kTaskBlobVersion));
+  TFB_RETURN_IF_ERROR(r->ReadString(&out->dataset));
+  TFB_RETURN_IF_ERROR(r->ReadString(&out->method));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->horizon));
+  // Series.
+  std::string series_name;
+  ts::Frequency frequency{};
+  ts::Domain domain{};
+  std::size_t seasonal_period = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  TFB_RETURN_IF_ERROR(r->ReadString(&series_name));
+  TFB_RETURN_IF_ERROR(ReadEnum(r, ts::Frequency::kOther, &frequency));
+  TFB_RETURN_IF_ERROR(ReadEnum(r, ts::Domain::kWeb, &domain));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &seasonal_period));
+  TFB_RETURN_IF_ERROR(r->ReadU64(&rows));
+  TFB_RETURN_IF_ERROR(r->ReadU64(&cols));
+  if (rows > (std::uint64_t{1} << 32) || cols > (std::uint64_t{1} << 32) ||
+      (cols != 0 && rows > kMaxSeriesBytes / sizeof(double) / cols)) {
+    return Corrupt("series shape");
+  }
+  std::vector<double> data(static_cast<std::size_t>(rows * cols));
+  for (double& d : data) TFB_RETURN_IF_ERROR(r->ReadDouble(&d));
+  ts::TimeSeries series(linalg::Matrix::FromRowMajor(
+      static_cast<std::size_t>(rows), static_cast<std::size_t>(cols),
+      std::move(data)));
+  series.set_name(series_name);
+  series.set_frequency(frequency);
+  series.set_domain(domain);
+  series.set_seasonal_period(seasonal_period);
+  out->series = std::move(series);
+  // MethodParams.
+  std::int64_t train_epochs = 0;
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->params.horizon));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->params.lookback));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->params.period));
+  TFB_RETURN_IF_ERROR(r->ReadU64(&out->params.seed));
+  TFB_RETURN_IF_ERROR(r->ReadI64(&train_epochs));
+  out->params.train_epochs = static_cast<int>(train_epochs);
+  // RollingOptions.
+  std::uint64_t num_metrics = 0;
+  TFB_RETURN_IF_ERROR(r->ReadU64(&num_metrics));
+  if (num_metrics > 64) return Corrupt("metric count");
+  out->rolling.metrics.resize(static_cast<std::size_t>(num_metrics));
+  for (eval::Metric& m : out->rolling.metrics) {
+    TFB_RETURN_IF_ERROR(ReadEnum(r, eval::Metric::kMase, &m));
+  }
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->rolling.stride));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->rolling.split.train));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->rolling.split.val));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->rolling.split.test));
+  TFB_RETURN_IF_ERROR(ReadEnum(r, ts::ScalerKind::kMinMax,
+                               &out->rolling.scaler));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->rolling.max_windows));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->rolling.batch_size));
+  TFB_RETURN_IF_ERROR(ReadFlag(r, &out->rolling.drop_last));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->rolling.seasonality));
+  // Hyper search.
+  TFB_RETURN_IF_ERROR(ReadFlag(r, &out->hyper_search));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->max_hyper_sets));
+  if (!r->exhausted()) return Corrupt("trailing bytes");
+  return base::Status::Ok();
+}
+
+base::Status ReadWorkerOptions(base::BlobReader* r, RunnerOptions* out,
+                               bool* telemetry) {
+  TFB_RETURN_IF_ERROR(ReadVersion(r, kOptionsBlobVersion));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->num_threads));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->hyper_val_windows));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->deadline_seconds));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->max_retries));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->retry_backoff_ms));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->retry_backoff_max_ms));
+  TFB_RETURN_IF_ERROR(r->ReadString(&out->fallback_method));
+  TFB_RETURN_IF_ERROR(ReadEnum(r, Isolation::kProcess, &out->isolation));
+  TFB_RETURN_IF_ERROR(ReadSize(r, &out->memory_limit_mb));
+  TFB_RETURN_IF_ERROR(r->ReadDouble(&out->cpu_limit_seconds));
+  TFB_RETURN_IF_ERROR(ReadFlag(r, telemetry));
+  if (!r->exhausted()) return Corrupt("trailing bytes");
+  return base::Status::Ok();
+}
 
 }  // namespace
 
@@ -63,85 +185,6 @@ std::optional<double> ParseStrictDouble(std::string_view text) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary encoder/decoder.
-
-void WireWriter::U64(std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out_.append(buf, 8);
-}
-
-void WireWriter::F64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void WireWriter::Str(const std::string& s) {
-  U64(s.size());
-  out_.append(s);
-}
-
-void WireWriter::Raw(const void* data, std::size_t size) {
-  out_.append(static_cast<const char*>(data), size);
-}
-
-bool WireReader::U8(std::uint8_t* v) {
-  if (!ok_ || data_.size() - pos_ < 1) {
-    ok_ = false;
-    return false;
-  }
-  *v = static_cast<std::uint8_t>(data_[pos_++]);
-  return true;
-}
-
-bool WireReader::U64(std::uint64_t* v) {
-  if (!ok_ || data_.size() - pos_ < 8) {
-    ok_ = false;
-    return false;
-  }
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 8;
-  *v = out;
-  return true;
-}
-
-bool WireReader::F64(double* v) {
-  std::uint64_t bits = 0;
-  if (!U64(&bits)) return false;
-  std::memcpy(v, &bits, sizeof(*v));
-  return true;
-}
-
-bool WireReader::Str(std::string* s) {
-  std::uint64_t len = 0;
-  if (!U64(&len)) return false;
-  if (len > kMaxBlobString || data_.size() - pos_ < len) {
-    ok_ = false;
-    return false;
-  }
-  s->assign(data_.data() + pos_, static_cast<std::size_t>(len));
-  pos_ += static_cast<std::size_t>(len);
-  return true;
-}
-
-bool WireReader::Raw(void* out, std::size_t size) {
-  if (!ok_ || data_.size() - pos_ < size) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(out, data_.data() + pos_, size);
-  pos_ += size;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Task marshalling.
 
 bool TaskIsMarshallable(const BenchmarkTask& task) {
@@ -150,133 +193,53 @@ bool TaskIsMarshallable(const BenchmarkTask& task) {
 
 std::string SerializeTask(const BenchmarkTask& task) {
   if (!TaskIsMarshallable(task)) return std::string();
-  WireWriter w;
-  w.U64(kTaskBlobVersion);
-  w.Str(task.dataset);
-  w.Str(task.method);
-  w.U64(task.horizon);
-  // Series: metadata + raw row-major doubles (bit-exact).
+  base::BlobWriter w;
+  w.PutU64(kTaskBlobVersion);
+  w.PutString(task.dataset);
+  w.PutString(task.method);
+  w.PutU64(task.horizon);
+  // Series: metadata + row-major doubles (bit-exact).
   const ts::TimeSeries& series = task.series;
-  w.Str(series.name());
-  w.U8(static_cast<std::uint8_t>(series.frequency()));
-  w.U8(static_cast<std::uint8_t>(series.domain()));
-  w.U64(series.seasonal_period());
+  w.PutString(series.name());
+  w.PutU8(static_cast<std::uint8_t>(series.frequency()));
+  w.PutU8(static_cast<std::uint8_t>(series.domain()));
+  w.PutU64(series.seasonal_period());
   const linalg::Matrix& values = series.values();
-  w.U64(values.rows());
-  w.U64(values.cols());
-  w.Raw(values.data(), values.size() * sizeof(double));
-  // MethodParams.
-  w.U64(task.params.horizon);
-  w.U64(task.params.lookback);
-  w.U64(task.params.period);
-  w.U64(task.params.seed);
-  w.U64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(task.params.train_epochs)));
-  // RollingOptions.
-  w.U64(task.rolling.metrics.size());
-  for (const eval::Metric m : task.rolling.metrics) {
-    w.U8(static_cast<std::uint8_t>(m));
+  w.PutU64(values.rows());
+  w.PutU64(values.cols());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    w.PutDouble(values.data()[i]);
   }
-  w.U64(task.rolling.stride);
-  w.F64(task.rolling.split.train);
-  w.F64(task.rolling.split.val);
-  w.F64(task.rolling.split.test);
-  w.U8(static_cast<std::uint8_t>(task.rolling.scaler));
-  w.U64(task.rolling.max_windows);
-  w.U64(task.rolling.batch_size);
-  w.U8(task.rolling.drop_last ? 1 : 0);
-  w.U64(task.rolling.seasonality);
+  // MethodParams.
+  w.PutU64(task.params.horizon);
+  w.PutU64(task.params.lookback);
+  w.PutU64(task.params.period);
+  w.PutU64(task.params.seed);
+  w.PutI64(task.params.train_epochs);
+  // RollingOptions.
+  w.PutU64(task.rolling.metrics.size());
+  for (const eval::Metric m : task.rolling.metrics) {
+    w.PutU8(static_cast<std::uint8_t>(m));
+  }
+  w.PutU64(task.rolling.stride);
+  w.PutDouble(task.rolling.split.train);
+  w.PutDouble(task.rolling.split.val);
+  w.PutDouble(task.rolling.split.test);
+  w.PutU8(static_cast<std::uint8_t>(task.rolling.scaler));
+  w.PutU64(task.rolling.max_windows);
+  w.PutU64(task.rolling.batch_size);
+  w.PutU8(task.rolling.drop_last ? 1 : 0);
+  w.PutU64(task.rolling.seasonality);
   // Hyper search.
-  w.U8(task.hyper_search ? 1 : 0);
-  w.U64(task.max_hyper_sets);
-  return w.Take();
+  w.PutU8(task.hyper_search ? 1 : 0);
+  w.PutU64(task.max_hyper_sets);
+  return w.TakeBytes();
 }
 
 bool DeserializeTask(std::string_view payload, BenchmarkTask* task) {
-  WireReader r(payload);
-  std::uint64_t version = 0;
-  if (!r.U64(&version) || version != kTaskBlobVersion) return false;
+  base::BlobReader r(payload);
   BenchmarkTask out;
-  std::uint64_t u = 0;
-  std::uint8_t b = 0;
-  if (!r.Str(&out.dataset) || !r.Str(&out.method) || !r.U64(&u)) return false;
-  out.horizon = static_cast<std::size_t>(u);
-  // Series.
-  std::string series_name;
-  std::uint8_t frequency = 0;
-  std::uint8_t domain = 0;
-  std::uint64_t seasonal_period = 0;
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  if (!r.Str(&series_name) || !r.U8(&frequency) || !r.U8(&domain) ||
-      !r.U64(&seasonal_period) || !r.U64(&rows) || !r.U64(&cols)) {
-    return false;
-  }
-  if (frequency > static_cast<std::uint8_t>(ts::Frequency::kOther) ||
-      domain > static_cast<std::uint8_t>(ts::Domain::kWeb)) {
-    return false;
-  }
-  if (rows > (std::uint64_t{1} << 32) || cols > (std::uint64_t{1} << 32) ||
-      (cols != 0 && rows > kMaxBlobString / sizeof(double) / cols)) {
-    return false;
-  }
-  std::vector<double> data(static_cast<std::size_t>(rows * cols));
-  if (!data.empty() && !r.Raw(data.data(), data.size() * sizeof(double))) {
-    return false;
-  }
-  ts::TimeSeries series(linalg::Matrix::FromRowMajor(
-      static_cast<std::size_t>(rows), static_cast<std::size_t>(cols),
-      std::move(data)));
-  series.set_name(series_name);
-  series.set_frequency(static_cast<ts::Frequency>(frequency));
-  series.set_domain(static_cast<ts::Domain>(domain));
-  series.set_seasonal_period(static_cast<std::size_t>(seasonal_period));
-  out.series = std::move(series);
-  // MethodParams.
-  if (!r.U64(&u)) return false;
-  out.params.horizon = static_cast<std::size_t>(u);
-  if (!r.U64(&u)) return false;
-  out.params.lookback = static_cast<std::size_t>(u);
-  if (!r.U64(&u)) return false;
-  out.params.period = static_cast<std::size_t>(u);
-  if (!r.U64(&out.params.seed)) return false;
-  if (!r.U64(&u)) return false;
-  out.params.train_epochs =
-      static_cast<int>(static_cast<std::int64_t>(u));
-  // RollingOptions.
-  std::uint64_t num_metrics = 0;
-  if (!r.U64(&num_metrics) || num_metrics > 64) return false;
-  out.rolling.metrics.clear();
-  for (std::uint64_t i = 0; i < num_metrics; ++i) {
-    if (!r.U8(&b) || b > static_cast<std::uint8_t>(eval::Metric::kMase)) {
-      return false;
-    }
-    out.rolling.metrics.push_back(static_cast<eval::Metric>(b));
-  }
-  if (!r.U64(&u)) return false;
-  out.rolling.stride = static_cast<std::size_t>(u);
-  if (!r.F64(&out.rolling.split.train) || !r.F64(&out.rolling.split.val) ||
-      !r.F64(&out.rolling.split.test)) {
-    return false;
-  }
-  if (!r.U8(&b) || b > static_cast<std::uint8_t>(ts::ScalerKind::kMinMax)) {
-    return false;
-  }
-  out.rolling.scaler = static_cast<ts::ScalerKind>(b);
-  if (!r.U64(&u)) return false;
-  out.rolling.max_windows = static_cast<std::size_t>(u);
-  if (!r.U64(&u)) return false;
-  out.rolling.batch_size = static_cast<std::size_t>(u);
-  if (!r.U8(&b) || b > 1) return false;
-  out.rolling.drop_last = b != 0;
-  if (!r.U64(&u)) return false;
-  out.rolling.seasonality = static_cast<std::size_t>(u);
-  // Hyper search.
-  if (!r.U8(&b) || b > 1) return false;
-  out.hyper_search = b != 0;
-  if (!r.U64(&u)) return false;
-  out.max_hyper_sets = static_cast<std::size_t>(u);
-  if (!r.AtEnd()) return false;  // Trailing bytes are corruption.
+  if (!ReadTask(&r, &out).ok()) return false;
   *task = std::move(out);
   return true;
 }
@@ -286,51 +249,29 @@ bool DeserializeTask(std::string_view payload, BenchmarkTask* task) {
 
 std::string SerializeWorkerOptions(const RunnerOptions& options,
                                    bool telemetry) {
-  WireWriter w;
-  w.U64(kOptionsBlobVersion);
-  w.U64(options.num_threads);
-  w.U64(options.hyper_val_windows);
-  w.F64(options.deadline_seconds);
-  w.U64(options.max_retries);
-  w.F64(options.retry_backoff_ms);
-  w.F64(options.retry_backoff_max_ms);
-  w.Str(options.fallback_method);
-  w.U8(static_cast<std::uint8_t>(options.isolation));
-  w.U64(options.memory_limit_mb);
-  w.F64(options.cpu_limit_seconds);
-  w.U8(telemetry ? 1 : 0);
-  return w.Take();
+  base::BlobWriter w;
+  w.PutU64(kOptionsBlobVersion);
+  w.PutU64(options.num_threads);
+  w.PutU64(options.hyper_val_windows);
+  w.PutDouble(options.deadline_seconds);
+  w.PutU64(options.max_retries);
+  w.PutDouble(options.retry_backoff_ms);
+  w.PutDouble(options.retry_backoff_max_ms);
+  w.PutString(options.fallback_method);
+  w.PutU8(static_cast<std::uint8_t>(options.isolation));
+  w.PutU64(options.memory_limit_mb);
+  w.PutDouble(options.cpu_limit_seconds);
+  w.PutU8(telemetry ? 1 : 0);
+  return w.TakeBytes();
 }
 
 bool DeserializeWorkerOptions(std::string_view payload, RunnerOptions* options,
                               bool* telemetry) {
-  WireReader r(payload);
-  std::uint64_t version = 0;
-  if (!r.U64(&version) || version != kOptionsBlobVersion) return false;
+  base::BlobReader r(payload);
   RunnerOptions out;
-  std::uint64_t u = 0;
-  std::uint8_t b = 0;
-  if (!r.U64(&u)) return false;
-  out.num_threads = static_cast<std::size_t>(u);
-  if (!r.U64(&u)) return false;
-  out.hyper_val_windows = static_cast<std::size_t>(u);
-  if (!r.F64(&out.deadline_seconds)) return false;
-  if (!r.U64(&u)) return false;
-  out.max_retries = static_cast<std::size_t>(u);
-  if (!r.F64(&out.retry_backoff_ms) || !r.F64(&out.retry_backoff_max_ms)) {
-    return false;
-  }
-  if (!r.Str(&out.fallback_method)) return false;
-  if (!r.U8(&b) || b > static_cast<std::uint8_t>(Isolation::kProcess)) {
-    return false;
-  }
-  out.isolation = static_cast<Isolation>(b);
-  if (!r.U64(&u)) return false;
-  out.memory_limit_mb = static_cast<std::size_t>(u);
-  if (!r.F64(&out.cpu_limit_seconds)) return false;
-  if (!r.U8(&b) || b > 1) return false;
-  if (telemetry != nullptr) *telemetry = b != 0;
-  if (!r.AtEnd()) return false;
+  bool wants_telemetry = false;
+  if (!ReadWorkerOptions(&r, &out, &wants_telemetry).ok()) return false;
+  if (telemetry != nullptr) *telemetry = wants_telemetry;
   // Worker-forced defaults: rows go back in ROW frames, not local journals.
   out.journal_path.clear();
   out.journal_fsync = false;

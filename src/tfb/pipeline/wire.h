@@ -20,11 +20,11 @@
 ///    the connection (never "best-effort" dispatch state).
 ///
 ///  - Binary blobs: tasks and runner options cross the wire explicitly for
-///    TCP workers (which, unlike fork()ed workers, inherit nothing).
-///    WireWriter/WireReader implement a little-endian, length-prefixed,
-///    bounds-checked binary format; doubles travel as their IEEE-754 bit
-///    pattern so marshalled tasks evaluate bit-identically to inherited
-///    ones (the determinism invariant extends across hosts).
+///    TCP workers (which, unlike fork()ed workers, inherit nothing), in the
+///    base::BlobWriter format: little-endian, length-prefixed and
+///    bounds-checked; doubles travel as their IEEE-754 bit pattern so
+///    marshalled tasks evaluate bit-identically to inherited ones (the
+///    determinism invariant extends across hosts).
 
 namespace tfb::pipeline {
 
@@ -42,42 +42,6 @@ std::optional<std::vector<std::size_t>> ParseSizeFields(
 
 /// Strictly parses one finite double occupying the whole of `text`.
 std::optional<double> ParseStrictDouble(std::string_view text);
-
-/// Little-endian binary encoder (see file comment).
-class WireWriter {
- public:
-  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U64(std::uint64_t v);
-  void F64(double v);  ///< IEEE-754 bit pattern; bit-exact round-trip.
-  void Str(const std::string& s);
-  void Raw(const void* data, std::size_t size);
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked decoder. Any read past the end (or an oversize string
-/// length) trips ok() to false and every later read fails; callers check
-/// ok() once at the end.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  bool U8(std::uint8_t* v);
-  bool U64(std::uint64_t* v);
-  bool F64(double* v);
-  bool Str(std::string* s);
-  bool Raw(void* out, std::size_t size);
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 /// True when the task can cross a process boundary by value. Tasks carrying
 /// `custom_candidates` (in-memory forecaster factories) cannot be

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "tfb/base/io.h"
 #include "tfb/obs/metrics.h"
 #include "tfb/obs/trace.h"
 
@@ -56,22 +57,6 @@ void ApplyLimitsInChild(const SandboxLimits& limits) {
     const rlimit as{bytes, bytes};
     setrlimit(RLIMIT_AS, &as);
     std::set_new_handler(OomExit);
-  }
-}
-
-/// Writes the whole buffer, restarting on EINTR; best effort — a failed
-/// write surfaces in the parent as a torn payload (kInvalidOutput).
-void WriteAll(int fd, const char* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = write(fd, data + written, size - written);
-    if (n > 0) {
-      written += static_cast<std::size_t>(n);
-    } else if (n < 0 && errno == EINTR) {
-      continue;
-    } else {
-      return;
-    }
   }
 }
 
@@ -262,7 +247,9 @@ SandboxResult RunInSandbox(const SandboxBody& body,
     close(err_fds[1]);
     ApplyLimitsInChild(limits);
     const std::string payload = body();
-    WriteAll(fds[1], payload.data(), payload.size());
+    // Best effort: a failed write surfaces in the parent as a torn payload
+    // (kInvalidOutput).
+    base::WriteAll(fds[1], payload);
     close(fds[1]);
     _exit(0);
   }

@@ -1,58 +1,15 @@
 #ifndef TFB_SERVE_JSON_H_
 #define TFB_SERVE_JSON_H_
 
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "tfb/base/status.h"
-
-/// \file
-/// Minimal JSON value model + recursive-descent parser for the serving
-/// plane's request bodies (POST /forecast carries nested history arrays,
-/// which the string-splicing JSON emitters elsewhere in the tree cannot
-/// read back). Full JSON: objects, arrays, strings with escapes, numbers,
-/// booleans, null. Bounded recursion depth; every malformed input resolves
-/// to a clean INVALID_INPUT Status with the failing byte offset.
-///
-/// Doubles are emitted with %.17g (AppendJsonDouble), which round-trips any
-/// IEEE-754 double exactly — the serving response must be byte-identical
-/// to what offline Forecast() output would format to (serve_test).
+#include "tfb/base/json.h"
 
 namespace tfb::serve {
 
-/// One parsed JSON value; a tagged union grown the simple way (the serving
-/// request bodies are small, so per-value overhead is irrelevant).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;  // Insertion order.
-
-  bool is_null() const { return kind == Kind::kNull; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_object() const { return kind == Kind::kObject; }
-
-  /// Member lookup on an object; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-};
-
-/// Parses `text` (one JSON document, trailing whitespace allowed) into
-/// `*out`. INVALID_INPUT with the byte offset on any syntax error.
-base::Status ParseJson(const std::string& text, JsonValue* out);
-
-/// Appends `value` JSON-escaped, with surrounding quotes.
-void AppendJsonString(std::string* out, const std::string& value);
-
-/// Appends a double as %.17g — exact decimal round trip for any finite
-/// value; non-finite values (which JSON cannot carry) become null.
-void AppendJsonDouble(std::string* out, double value);
+// Kept so code naming these tfb::serve:: (tfbbench/, serve_test) still builds.
+using base::AppendJsonDouble;
+using base::AppendJsonString;
+using base::JsonValue;
+using base::ParseJson;
 
 }  // namespace tfb::serve
 

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "tfb/base/blob.h"
-#include "tfb/pipeline/transport.h"
+#include "tfb/base/crc32.h"
 
 namespace tfb::serve {
 
@@ -36,7 +36,7 @@ base::Status SerializeModel(const methods::Forecaster& forecaster,
   base::BlobWriter envelope;
   for (const char c : kMagic) envelope.PutU8(static_cast<std::uint8_t>(c));
   envelope.PutU32(kFormatVersion);
-  envelope.PutU32(pipeline::Crc32(body.data(), body.size()));
+  envelope.PutU32(base::Crc32(body.data(), body.size()));
   *bytes = envelope.TakeBytes();
   *bytes += body;
   return base::Status::Ok();
@@ -68,7 +68,7 @@ base::Status DeserializeModel(const std::string& bytes, ModelArtifact* out) {
         " (this build reads version " + std::to_string(kFormatVersion) + ")");
   }
   const std::string body = bytes.substr(header.position());
-  const std::uint32_t actual = pipeline::Crc32(body.data(), body.size());
+  const std::uint32_t actual = base::Crc32(body.data(), body.size());
   if (actual != crc) {
     return base::Status::InvalidInput(
         "model payload CRC mismatch (stored " + std::to_string(crc) +

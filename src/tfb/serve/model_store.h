@@ -17,7 +17,7 @@
 ///
 ///   bytes 0-3   magic "TFBM"
 ///   u32         format version (currently 1)
-///   u32         CRC32 (pipeline::Crc32) of the payload
+///   u32         CRC32 (base::Crc32) of the payload
 ///   payload     BlobWriter stream: method name, MethodParams, fitted blob
 ///
 /// The payload carries the construction parameters alongside the fitted

@@ -9,10 +9,10 @@
 #include <map>
 #include <utility>
 
+#include "tfb/base/json.h"
 #include "tfb/obs/metrics.h"
 #include "tfb/obs/progress.h"
 #include "tfb/parallel/thread_pool.h"
-#include "tfb/serve/json.h"
 
 namespace tfb::serve {
 
@@ -36,7 +36,7 @@ obs::HttpResponse JsonResponse(int code, std::string body) {
 
 obs::HttpResponse ErrorResponse(int code, const std::string& message) {
   std::string body = "{\"error\":";
-  AppendJsonString(&body, message);
+  base::AppendJsonString(&body, message);
   body += "}\n";
   return JsonResponse(code, std::move(body));
 }
@@ -51,8 +51,8 @@ void CountRequest(int code) {
 
 /// Converts the "history" JSON member into a T x N series. Accepts a flat
 /// number array (univariate) or an array of equal-length number rows.
-base::Status ParseHistory(const JsonValue& history, std::size_t max_points,
-                          ts::TimeSeries* out) {
+base::Status ParseHistory(const base::JsonValue& history,
+                          std::size_t max_points, ts::TimeSeries* out) {
   if (!history.is_array() || history.array.empty()) {
     return base::Status::InvalidInput(
         "\"history\" must be a non-empty array");
@@ -71,7 +71,7 @@ base::Status ParseHistory(const JsonValue& history, std::size_t max_points,
   }
   linalg::Matrix values(rows, cols);
   for (std::size_t t = 0; t < rows; ++t) {
-    const JsonValue& row = history.array[t];
+    const base::JsonValue& row = history.array[t];
     if (nested) {
       if (!row.is_array() || row.array.size() != cols) {
         return base::Status::InvalidInput(
@@ -234,7 +234,7 @@ void ForecastService::HandleModels(const obs::HttpRequest&,
   for (const std::string& key : registry_->Keys()) {
     if (!first) body += ',';
     first = false;
-    AppendJsonString(&body, key);
+    base::AppendJsonString(&body, key);
   }
   body += "]}\n";
   respond(JsonResponse(200, std::move(body)));
@@ -284,20 +284,20 @@ void ForecastService::Submit(const std::string& body,
     return;
   }
 
-  JsonValue doc;
-  if (const base::Status status = ParseJson(body, &doc); !status.ok()) {
+  base::JsonValue doc;
+  if (const base::Status status = base::ParseJson(body, &doc); !status.ok()) {
     CountRequest(400);
     answer_early(ErrorResponse(400, status.message()), 400);
     return;
   }
-  const JsonValue* model = doc.Find("model");
+  const base::JsonValue* model = doc.Find("model");
   if (model == nullptr || !model->is_string() || model->string.empty()) {
     CountRequest(400);
     answer_early(ErrorResponse(400, "\"model\" (string) is required"), 400);
     return;
   }
   std::size_t horizon = 0;
-  if (const JsonValue* h = doc.Find("horizon"); h != nullptr) {
+  if (const base::JsonValue* h = doc.Find("horizon"); h != nullptr) {
     if (!h->is_number() || h->number < 1 ||
         h->number != std::floor(h->number)) {
       CountRequest(400);
@@ -315,7 +315,7 @@ void ForecastService::Submit(const std::string& body,
     }
     horizon = static_cast<std::size_t>(h->number);
   }
-  const JsonValue* history = doc.Find("history");
+  const base::JsonValue* history = doc.Find("history");
   if (history == nullptr) {
     CountRequest(400);
     answer_early(ErrorResponse(400, "\"history\" (array) is required"), 400);
@@ -485,9 +485,9 @@ void ForecastService::ExecuteBatch(std::vector<PendingRequest>* batch) {
           const ts::TimeSeries forecast =
               forecaster->Forecast(item.history, horizon);
           std::string body = "{\"model\":";
-          AppendJsonString(&body, lease.key());
+          base::AppendJsonString(&body, lease.key());
           body += ",\"method\":";
-          AppendJsonString(&body, lease.method());
+          base::AppendJsonString(&body, lease.method());
           body += ",\"horizon\":";
           body += std::to_string(horizon);
           body += ",\"forecast\":[";
@@ -496,7 +496,7 @@ void ForecastService::ExecuteBatch(std::vector<PendingRequest>* batch) {
             body += '[';
             for (std::size_t v = 0; v < forecast.num_variables(); ++v) {
               if (v != 0) body += ',';
-              AppendJsonDouble(&body, forecast.at(t, v));
+              base::AppendJsonDouble(&body, forecast.at(t, v));
             }
             body += ']';
           }
@@ -569,9 +569,9 @@ void ForecastService::LogAccess(const std::string& request_id,
                     .count());
   line += buf;
   line += ",\"request_id\":";
-  AppendJsonString(&line, request_id);
+  base::AppendJsonString(&line, request_id);
   line += ",\"model\":";
-  AppendJsonString(&line, model);
+  base::AppendJsonString(&line, model);
   line += ",\"code\":";
   line += std::to_string(code);
   const auto stage = [&](const char* key, double seconds) {

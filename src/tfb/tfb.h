@@ -17,6 +17,7 @@
 ///    live telemetry: structured logging, progress/ETA, HTTP endpoint)
 
 #include "tfb/base/check.h"
+#include "tfb/base/json.h"
 #include "tfb/base/status.h"
 #include "tfb/characterization/adf.h"
 #include "tfb/characterization/catch22.h"

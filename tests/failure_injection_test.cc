@@ -476,6 +476,36 @@ TEST(FaultIsolation, JournalLineRoundTripsAllFields) {
   EXPECT_FALSE(pipeline::ParseJournalLine("{not json", &parsed));
 }
 
+TEST(FaultIsolation, JournalLineRoundTripsEveryStringByte) {
+  // Every control byte (NUL included), the two JSON-special characters and
+  // a multi-byte UTF-8 sequence must come back unchanged in every string
+  // field, or a resumed run (or a shard ROW frame) alters the row.
+  std::string nasty;
+  for (int c = 0x00; c <= 0x1f; ++c) nasty.push_back(static_cast<char>(c));
+  nasty += "\"\\ \xc3\xa9\xe2\x82\xac\xf0\x9f\x93\x88 /end";
+
+  pipeline::ResultRow row;
+  row.dataset = "d" + nasty;
+  row.method = "m" + nasty;
+  row.horizon = 12;
+  row.error = "e" + nasty;
+  row.selected_config = "s" + nasty;
+  row.note = "n" + nasty;
+  row.stderr_tail = "t" + nasty;
+  row.metrics[eval::Metric::kMae] = 0.5;
+
+  const std::string line = pipeline::JournalLine(row);
+  pipeline::ResultRow parsed;
+  ASSERT_TRUE(pipeline::ParseJournalLine(line, &parsed)) << line;
+  EXPECT_EQ(parsed.dataset, row.dataset);
+  EXPECT_EQ(parsed.method, row.method);
+  EXPECT_EQ(parsed.error, row.error);
+  EXPECT_EQ(parsed.selected_config, row.selected_config);
+  EXPECT_EQ(parsed.note, row.note);
+  EXPECT_EQ(parsed.stderr_tail, row.stderr_tail);
+  EXPECT_EQ(pipeline::JournalLine(parsed), line);
+}
+
 TEST(FaultIsolation, JournalResumeSkipsFinishedTasks) {
   const std::string path = testing::TempDir() + "/tfb_journal_test.jsonl";
   std::remove(path.c_str());

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "tfb/base/json.h"
 #include "tfb/obs/log.h"
 #include "tfb/obs/progress.h"
 
@@ -281,7 +282,7 @@ TEST(LoggerTest, JsonlSinkEmitsValidJsonPerLine) {
 
 TEST(LoggerTest, AppendJsonStringEscapesExactly) {
   std::string out;
-  AppendJsonString(&out, "a\"b\\c\nd\te\x01 caf\xc3\xa9");
+  base::AppendJsonString(&out, "a\"b\\c\nd\te\x01 caf\xc3\xa9");
   EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\u0001 caf\xc3\xa9\"");
   EXPECT_TRUE(JsonChecker(out).Valid()) << out;
 }

@@ -63,6 +63,14 @@ TEST(Config, RejectsBadKernelValue) {
   EXPECT_NE(error.find("kernel"), std::string::npos);
 }
 
+TEST(Config, StrategyKeyAcceptsOnlyRolling) {
+  std::string error;
+  EXPECT_TRUE(ParseConfig("strategy = rolling\n", &error).has_value())
+      << error;
+  EXPECT_FALSE(ParseConfig("strategy = fixed\n", &error).has_value());
+  EXPECT_NE(error.find("rolling strategy only"), std::string::npos) << error;
+}
+
 TEST(Config, RejectsUnknownKey) {
   std::string error;
   EXPECT_FALSE(ParseConfig("bogus_key = 1\n", &error).has_value());

@@ -1,10 +1,12 @@
 // Fleet telemetry unit tests (src/tfb/pipeline/telemetry.h): clock-offset
 // estimation against skewed fake clocks, the worker batch blob round-trip,
 // worker-label splicing, the coordinator-side merge (registry labels, span
-// pid stitching, timestamp re-alignment), and the collector's delta
-// semantics.
+// pid stitching, timestamp re-alignment), the collector's delta semantics,
+// and that forked workers ship only their own telemetry.
 
 #include "tfb/pipeline/telemetry.h"
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "tfb/obs/metrics.h"
 #include "tfb/obs/trace.h"
+#include "tfb/pipeline/shard.h"
 
 namespace tfb::pipeline {
 namespace {
@@ -228,6 +231,64 @@ TEST(TelemetryCollectorTest, ShipsDeltasBetweenCollects) {
   WorkerTelemetry third = collector.Collect(1, 3);
   EXPECT_DOUBLE_EQ(
       third.counter_deltas.at("tfb_telemetry_collector_test_total"), 2.0);
+}
+
+TEST(TelemetryCollectorTest, ForkedWorkersShipOnlyTheirOwnTelemetry) {
+  // A socketpair worker is fork()ed from the coordinator and inherits its
+  // registry totals and trace ring. None of that may come back labelled as
+  // the worker's: the worker series must not repeat the parent's counter,
+  // and no span recorded before the run may reappear under a worker pid.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::DefaultTracer().Enable();
+  obs::DefaultRegistry()
+      .GetCounter("tfb_inherited_probe_total")
+      .Increment(41);
+  for (int i = 0; i < 3; ++i) {
+    obs::DefaultTracer().RecordComplete("inherited_probe", "test",
+                                        obs::TraceNowMicros(), 1.0);
+  }
+
+  std::vector<BenchmarkTask> tasks;
+  for (const char* method : {"Naive", "Mean", "Drift", "SeasonalNaive"}) {
+    BenchmarkTask task;
+    task.dataset = "synthetic";
+    std::vector<double> x(120);
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      x[t] = static_cast<double>(t % 12) + 0.01 * static_cast<double>(t);
+    }
+    task.series = ts::TimeSeries::Univariate(std::move(x));
+    task.series.set_seasonal_period(12);
+    task.method = method;
+    task.horizon = 6;
+    tasks.push_back(std::move(task));
+  }
+  ShardOptions shard;
+  shard.transport = ShardTransport::kSocketpair;
+  shard.num_workers = 2;
+  const std::vector<ResultRow> rows =
+      ShardCoordinator(RunnerOptions{}, shard).Run(tasks);
+  const std::vector<obs::TraceEvent> trace = obs::DefaultTracer().Snapshot();
+  const obs::Registry::Snapshot metrics =
+      obs::DefaultRegistry().TakeSnapshot();
+  obs::DefaultTracer().Disable();
+  obs::SetEnabled(was_enabled);
+
+  ASSERT_EQ(rows.size(), tasks.size());
+  for (const ResultRow& row : rows) EXPECT_TRUE(row.ok) << row.error;
+  EXPECT_DOUBLE_EQ(metrics.counters.at("tfb_inherited_probe_total"), 41.0);
+  for (const auto& [name, value] : metrics.counters) {
+    EXPECT_NE(name.rfind("tfb_inherited_probe_total{worker=", 0), 0u)
+        << name << " = " << value;
+  }
+  const std::int64_t coordinator_pid = static_cast<std::int64_t>(getpid());
+  bool saw_worker_span = false;
+  for (const obs::TraceEvent& e : trace) {
+    if (e.pid == coordinator_pid || e.phase != 'X') continue;
+    saw_worker_span = true;
+    EXPECT_NE(std::string(e.name), "inherited_probe") << "pid " << e.pid;
+  }
+  EXPECT_TRUE(saw_worker_span) << "workers shipped no spans at all";
 }
 
 }  // namespace

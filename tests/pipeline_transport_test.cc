@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tfb/base/crc32.h"
 #include "tfb/pipeline/transport.h"
 #include "tfb/pipeline/wire.h"
 #include "tfb/stats/rng.h"
@@ -44,17 +45,17 @@ FrameDecoder::Result Drain(FrameDecoder* decoder, std::vector<Frame>* out) {
 
 TEST(Crc32, KnownAnswerAndChaining) {
   // The canonical CRC-32/ISO-HDLC check value.
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(base::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(base::Crc32("", 0), 0u);
   // Chainable: crc(a+b) == crc(b, seed=crc(a)).
   const std::string text = "the quick brown fox jumps over the lazy dog";
-  const std::uint32_t whole = Crc32(text.data(), text.size());
-  const std::uint32_t first = Crc32(text.data(), 10);
-  EXPECT_EQ(Crc32(text.data() + 10, text.size() - 10, first), whole);
+  const std::uint32_t whole = base::Crc32(text.data(), text.size());
+  const std::uint32_t first = base::Crc32(text.data(), 10);
+  EXPECT_EQ(base::Crc32(text.data() + 10, text.size() - 10, first), whole);
   // One flipped bit anywhere changes the checksum.
   std::string mutated = text;
   mutated[17] = static_cast<char>(mutated[17] ^ 0x10);
-  EXPECT_NE(Crc32(mutated.data(), mutated.size()), whole);
+  EXPECT_NE(base::Crc32(mutated.data(), mutated.size()), whole);
 }
 
 // ---------------------------------------------------------------------------
