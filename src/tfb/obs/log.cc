@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <ctime>
+#include <span>
 
 #include "tfb/base/json.h"
 
@@ -140,7 +141,8 @@ void Logger::SetPreTextHook(std::function<void()> hook) {
 }
 
 void Logger::Log(LogLevel level, std::string_view message,
-                 std::initializer_list<LogField> fields) {
+                 const LogField* fields_begin, const LogField* fields_end) {
+  const std::span<const LogField> fields(fields_begin, fields_end);
   if (!ShouldLog(level) || level == LogLevel::kOff) return;
   const Stamp stamp = Now();
 

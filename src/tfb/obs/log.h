@@ -97,7 +97,12 @@ class Logger {
 
   /// Emits one event to every active sink if `level` passes the filter.
   void Log(LogLevel level, std::string_view message,
-           std::initializer_list<LogField> fields = {});
+           std::initializer_list<LogField> fields = {}) {
+    Log(level, message, fields.begin(), fields.end());
+  }
+  /// The same, for a field list built at run time.
+  void Log(LogLevel level, std::string_view message,
+           const LogField* fields_begin, const LogField* fields_end);
 
   void Trace(std::string_view message,
              std::initializer_list<LogField> fields = {}) {

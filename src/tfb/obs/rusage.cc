@@ -13,28 +13,30 @@ double TimevalSeconds(const timeval& tv) {
          static_cast<double>(tv.tv_usec) * 1e-6;
 }
 
-ResourceUsage FromRusage(const rusage& ru, bool with_rss) {
+}  // namespace
+
+ResourceUsage FromRusage(const struct rusage& ru) {
   ResourceUsage out;
   out.user_cpu_seconds = TimevalSeconds(ru.ru_utime);
   out.sys_cpu_seconds = TimevalSeconds(ru.ru_stime);
   // Linux reports ru_maxrss in KiB.
-  if (with_rss) out.max_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+  out.max_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
   return out;
 }
-
-}  // namespace
 
 ResourceUsage SelfUsage() {
   rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return {};
-  return FromRusage(ru, /*with_rss=*/true);
+  return FromRusage(ru);
 }
 
 ResourceUsage ThreadUsage() {
 #if defined(RUSAGE_THREAD)
   rusage ru{};
   if (getrusage(RUSAGE_THREAD, &ru) != 0) return {};
-  return FromRusage(ru, /*with_rss=*/false);
+  ResourceUsage out = FromRusage(ru);
+  out.max_rss_mb = 0.0;  // Not attributable to the calling thread.
+  return out;
 #else
   ResourceUsage out = SelfUsage();
   out.max_rss_mb = 0.0;  // Not attributable to the calling thread.

@@ -11,6 +11,8 @@
 /// proc::SandboxResult::usage). Both land on ResultRow and round-trip
 /// through the JSONL journal.
 
+struct rusage;
+
 namespace tfb::obs {
 
 /// CPU and memory consumption of a process, thread, or interval.
@@ -25,6 +27,9 @@ struct ResourceUsage {
     return user_cpu_seconds + sys_cpu_seconds;
   }
 };
+
+/// The usage getrusage(2) or wait4(2) reported, peak RSS included.
+ResourceUsage FromRusage(const struct rusage& ru);
 
 /// Whole-process usage so far (RUSAGE_SELF).
 ResourceUsage SelfUsage();

@@ -1,6 +1,5 @@
 #include "tfb/pipeline/shard.h"
 
-#include <dirent.h>
 #include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
@@ -16,11 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
+#include <filesystem>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -30,8 +29,10 @@
 #include "tfb/obs/log.h"
 #include "tfb/obs/metrics.h"
 #include "tfb/obs/progress.h"
+#include "tfb/obs/rusage.h"
 #include "tfb/obs/trace.h"
 #include "tfb/pipeline/journal.h"
+#include "tfb/pipeline/shard_core.h"
 #include "tfb/pipeline/shard_worker.h"
 #include "tfb/pipeline/telemetry.h"
 #include "tfb/pipeline/wire.h"
@@ -81,88 +82,53 @@ std::size_t DrainShutdownPipe() {
 // Leftover "<stem>.seg*" files next to the journal (or temp segment base):
 // the durable remains of a previous run that crashed before its merge.
 std::vector<std::string> ExistingSegments(const std::string& base) {
-  std::string dir = ".";
-  std::string stem = base;
-  const std::size_t slash = base.find_last_of('/');
-  if (slash != std::string::npos) {
-    dir = slash == 0 ? "/" : base.substr(0, slash);
-    stem = base.substr(slash + 1);
-  }
-  const std::string prefix = stem + ".seg";
+  const std::filesystem::path path(base);
+  const std::filesystem::path dir =
+      path.has_parent_path() ? path.parent_path() : ".";
+  const std::string prefix = path.filename().string() + ".seg";
   std::vector<std::string> out;
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) {
+  std::error_code error;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, error)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > prefix.size() && name.starts_with(prefix)) {
+      out.push_back(entry.path().string());
+    }
+  }
+  if (error) {
     // A resume that cannot list the journal directory would silently drop
     // every crashed-run segment; surface the why (usually permissions).
     obs::DefaultLogger().Warn(
         "shard: cannot scan for leftover segments",
-        {{"dir", dir}, {"errno", std::to_string(errno)},
-         {"error", std::strerror(errno)}});
-    return out;
+        {{"dir", dir.string()}, {"error", error.message()}});
   }
-  while (dirent* e = readdir(d)) {
-    const std::string name = e->d_name;
-    if (name.size() > prefix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0) {
-      out.push_back(dir == "/" ? "/" + name : dir + "/" + name);
-    }
-  }
-  closedir(d);
   std::sort(out.begin(), out.end());
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Coordinator-side state.
-
-struct Shard {
-  std::size_t id = 0;
-  std::vector<std::size_t> slots;  // Task indices, ascending.
-  std::size_t attempts = 0;        // Death-burning dispatch count.
-};
-
-// One worker *connection* — the unit the lease epoch is attached to. A
-// worker process may own several connections over its life (reconnects);
-// each gets a fresh epoch and its own journal segment.
-struct Connection {
-  std::unique_ptr<Transport> transport;
-  std::uint64_t epoch = 0;  // Assigned at WELCOME; 0 while unwelcomed.
-  pid_t pid = -1;           // From HELLO; matches a Child for forked workers.
-  Clock::time_point last_seen{};
-  bool welcomed = false;
-  bool has_shard = false;
-  Shard shard;
-  std::unordered_set<std::size_t> started;  // Started, not yet finished.
-  bool quit_sent = false;
-  bool dead = false;
-  std::string segment_path;  // "<base>.seg<epoch>".
-
-  // Fleet telemetry (see telemetry.h): clock-offset probing state and the
-  // coordinator-clock start of the currently granted shard.
-  std::size_t pings_sent = 0;
-  std::vector<PingSample> ping_samples;
-  double clock_offset_us = 0.0;
-  double grant_start_us = 0.0;
-};
-
-// What the coordinator knows about one worker *process* (keyed by pid, so
-// it survives reconnects): the last applied telemetry batch number — the
-// dedup fence that keeps a resent DONE blob from double-counting — and the
-// latest self-reported usage for /status.
-struct WorkerRecord {
-  std::uint64_t last_seq = 0;
-  std::uint64_t tasks_completed = 0;
-  double cpu_seconds = 0.0;
-  double peak_rss_mb = 0.0;
-};
-
-// One fork()ed worker process (socketpair workers and local TCP workers).
-// External tfb_worker processes have no Child record.
-struct Child {
+// One fork()ed worker process as the shell sees it. The pidfd makes its
+// exit pollable, so the loop wakes the instant a worker is gone; where
+// pidfd_open is unavailable it is -1 and the poll timeout stands in.
+struct ChildProcess {
   pid_t pid = -1;
-  std::size_t spawn_index = 0;
-  bool exited = false;
-  bool quit_expected = false;  // QUIT sent (or shutdown): exit is not a death.
+  int pidfd = -1;
+};
+
+// The counters ShardRunStats mirrors; Run bumps them by stats deltas in one
+// place, so a counter and its field cannot drift apart.
+constexpr std::pair<const char*, std::size_t ShardRunStats::*> kMirrored[] = {
+    {"tfb_shard_workers_spawned_total", &ShardRunStats::workers_spawned},
+    {"tfb_shard_worker_deaths_total", &ShardRunStats::worker_deaths},
+    {"tfb_shard_heartbeat_kills_total", &ShardRunStats::heartbeat_kills},
+    {"tfb_shard_dispatch_total", &ShardRunStats::shards_dispatched},
+    {"tfb_shard_redispatch_total", &ShardRunStats::redispatches},
+    {"tfb_shard_splits_total", &ShardRunStats::shard_splits},
+    {"tfb_shard_quarantined_total", &ShardRunStats::quarantined},
+    {"tfb_transport_connections_total", &ShardRunStats::connections},
+    {"tfb_transport_reconnects_total", &ShardRunStats::reconnects},
+    {"tfb_transport_disconnects_total", &ShardRunStats::disconnects},
+    {"tfb_transport_fenced_completions_total",
+     &ShardRunStats::fenced_completions},
+    {"tfb_transport_corrupt_frames_total", &ShardRunStats::corrupt_frames},
 };
 
 }  // namespace
@@ -191,15 +157,12 @@ std::vector<ResultRow> ShardCoordinator::Run(
   stats_ = ShardRunStats{};
   const std::size_t total = tasks.size();
   std::vector<ResultRow> rows(total);
-  std::vector<bool> adopted(total, false);
+  std::vector<bool> journaled(total, false);  // Rows the journal keeps.
   const bool observed = obs::Enabled();
   obs::Registry& registry = obs::DefaultRegistry();
   obs::ProgressTracker& tracker = obs::DefaultProgressTracker();
 
   const bool tcp = shard_options_.transport == ShardTransport::kTcp;
-  // Whether this coordinator forks its own workers (always, except a pure
-  // listen-only TCP run fed by external tfb_worker processes).
-  const bool spawning = !tcp || shard_options_.spawn_workers;
   const char* transport_name = tcp ? "tcp" : "socketpair";
 
   if (tcp) {
@@ -208,13 +171,9 @@ std::vector<ResultRow> ShardCoordinator::Run(
       obs::DefaultLogger().Error("shard: cannot bind TCP listener",
                                  {{"error", error}});
       for (std::size_t slot = 0; slot < total; ++slot) {
-        rows[slot].dataset = tasks[slot].dataset;
-        rows[slot].method = tasks[slot].method;
-        rows[slot].horizon = tasks[slot].horizon;
-        rows[slot].ok = false;
-        rows[slot].error =
-            base::Status::Internal("shard listener bind failed: " + error)
-                .ToString();
+        rows[slot] = ErrorRow(tasks[slot], base::Status::Internal(
+                                               "shard listener bind failed: " +
+                                               error));
       }
       return rows;
     }
@@ -285,22 +244,17 @@ std::vector<ResultRow> ShardCoordinator::Run(
             : prior_by_key.end();
     if (it != prior_by_key.end()) {
       rows[slot] = prior_rows[it->second];
-      adopted[slot] = true;
+      journaled[slot] = true;
       ++resumed;
     } else if (tcp && !TaskIsMarshallable(tasks[slot])) {
       // A task built around in-memory factories cannot cross the wire;
       // reject it up front (not journaled — a socketpair resume can still
       // execute it) instead of corrupting dispatch.
-      ResultRow& row = rows[slot];
-      row.dataset = tasks[slot].dataset;
-      row.method = tasks[slot].method;
-      row.horizon = tasks[slot].horizon;
-      row.ok = false;
-      row.error = base::Status::Internal(
-                      "task with custom candidates cannot be marshalled "
-                      "over the tcp transport")
-                      .ToString();
-      row.note = "rejected by shard coordinator (not marshallable)";
+      rows[slot] = ErrorRow(tasks[slot],
+                            base::Status::Internal(
+                                "task with custom candidates cannot be "
+                                "marshalled over the tcp transport"));
+      rows[slot].note = "rejected by shard coordinator (not marshallable)";
       unmarshallable.push_back(slot);
     } else {
       pending.push_back(slot);
@@ -311,29 +265,6 @@ std::vector<ResultRow> ShardCoordinator::Run(
         .Increment(static_cast<double>(resumed));
   }
 
-  // --- Shard the pending slots ---
-  std::size_t shard_size = shard_options_.shard_size;
-  const std::size_t num_workers = std::max<std::size_t>(
-      1, shard_options_.num_workers);
-  if (shard_size == 0) {
-    shard_size = std::clamp<std::size_t>(pending.size() / (4 * num_workers),
-                                         1, 32);
-  }
-  std::deque<Shard> queue;
-  std::size_t next_shard_id = 0;
-  std::size_t shards_total = 0;
-  for (std::size_t i = 0; i < pending.size(); i += shard_size) {
-    Shard shard;
-    shard.id = next_shard_id++;
-    shard.slots.assign(
-        pending.begin() + static_cast<std::ptrdiff_t>(i),
-        pending.begin() +
-            static_cast<std::ptrdiff_t>(std::min(i + shard_size,
-                                                 pending.size())));
-    queue.push_back(std::move(shard));
-    ++shards_total;
-  }
-
   tracker.SetDisplay(runner_options_.progress);
   tracker.BeginRun(total, resumed);
   for (const std::size_t slot : unmarshallable) {
@@ -341,91 +272,26 @@ std::vector<ResultRow> ShardCoordinator::Run(
                          /*used_fallback=*/false, 0.0);
   }
 
-  std::vector<bool> done_slot(total, false);
-  std::size_t resolved = 0;  // Pending slots finished or quarantined.
-  std::size_t executed = 0;  // ROW frames accepted.
-  std::size_t shards_completed = 0;
-  std::size_t shutdown_requests = 0;
-  bool draining = false;
-  bool hard_killed = false;
-  double worker_cpu_seconds = 0.0;
-  double worker_peak_rss_mb = 0.0;
-
-  const std::size_t max_spawns =
-      shard_options_.max_total_spawns > 0 ? shard_options_.max_total_spawns
-                                          : 4 * num_workers;
-  const std::string quarantine_segment = segment_base + ".segc";
-  std::vector<std::string> segment_paths;  // Epoch order; merged first-wins.
-  JournalOptions journal_options;
-  journal_options.fsync_each_row = runner_options_.journal_fsync;
-
-  std::vector<std::unique_ptr<Connection>> conns;
-  std::vector<Child> children;
-  std::size_t live_children = 0;
-  std::uint64_t next_epoch = 1;
-  // With observability on, the WELCOME options blob asks every worker to
-  // collect spans + metric deltas and ship them back (telemetry.h).
-  const std::string options_blob =
-      SerializeWorkerOptions(runner_options_, observed);
   // One trace identity for the whole run; every dispatch executes under it
   // and every worker batch echoes it back.
   const std::uint64_t run_trace_id =
       (static_cast<std::uint64_t>(getpid()) << 32) ^
-      static_cast<std::uint64_t>(
-          Clock::now().time_since_epoch().count());
-  std::unordered_map<std::uint64_t, WorkerRecord> fleet;
+      static_cast<std::uint64_t>(Clock::now().time_since_epoch().count());
+  // With observability on, WELCOME asks every worker to collect spans and
+  // metric deltas and ship them back (telemetry.h).
+  ShardCore core(tasks, pending, shard_options_, runner_options_,
+                 segment_base, observed, run_trace_id);
+  JournalOptions journal_options;
+  journal_options.fsync_each_row = runner_options_.journal_fsync;
+  std::map<std::uint64_t, std::unique_ptr<Transport>> links;  // By conn id.
+  std::vector<ChildProcess> children;
+  double worker_cpu_seconds = 0.0;
+  double worker_peak_rss_mb = 0.0;
+  ShardRunStats mirrored;
+  std::size_t mirrored_tasks = 0;
   const std::string connect_host = shard_options_.listen_host == "0.0.0.0"
                                        ? "127.0.0.1"
                                        : shard_options_.listen_host;
-
-  auto live_connections = [&] {
-    std::size_t n = 0;
-    for (const auto& c : conns) {
-      if (!c->dead && c->welcomed) ++n;
-    }
-    return n;
-  };
-
-  auto publish_shard_stats = [&] {
-    obs::ShardStats s;
-    s.enabled = true;
-    s.transport = transport_name;
-    s.workers = num_workers;
-    s.workers_live = spawning ? live_children : live_connections();
-    s.workers_spawned = stats_.workers_spawned;
-    s.worker_deaths = stats_.worker_deaths;
-    s.shards_total = shards_total;
-    s.shards_completed = shards_completed;
-    s.redispatches = stats_.redispatches;
-    s.quarantined = stats_.quarantined;
-    s.connections = stats_.connections;
-    s.reconnects = stats_.reconnects;
-    s.disconnects = stats_.disconnects;
-    s.fenced_completions = stats_.fenced_completions;
-    s.corrupt_frames = stats_.corrupt_frames;
-    const auto now = Clock::now();
-    for (const auto& cptr : conns) {
-      const Connection& c = *cptr;
-      if (!c.welcomed || c.dead) continue;
-      obs::ShardStats::WorkerStatus w;
-      w.pid = c.pid > 0 ? static_cast<std::uint64_t>(c.pid) : 0;
-      w.heartbeat_age_seconds =
-          std::chrono::duration<double>(now - c.last_seen).count();
-      w.clock_offset_us = c.clock_offset_us;
-      const auto it = fleet.find(w.pid);
-      if (it != fleet.end()) {
-        w.tasks_completed = it->second.tasks_completed;
-        w.cpu_seconds = it->second.cpu_seconds;
-        w.peak_rss_mb = it->second.peak_rss_mb;
-      }
-      s.fleet.push_back(w);
-    }
-    tracker.SetShardStats(s);
-    if (observed) {
-      registry.GetGauge("tfb_shard_workers_live")
-          .Set(static_cast<double>(s.workers_live));
-    }
-  };
 
   auto make_loop_config = [&](std::size_t spawn_index) {
     WorkerLoopConfig cfg;
@@ -440,665 +306,133 @@ std::vector<ResultRow> ShardCoordinator::Run(
     return cfg;
   };
 
-  // Forked children inherit every coordinator-side descriptor; keeping a
-  // sibling's fd open would mask its EOF from the coordinator forever, and
-  // an inherited listener would keep the port alive past the coordinator.
-  auto close_inherited_in_child = [&] {
-    for (const auto& c : conns) {
-      if (!c->dead && c->transport != nullptr && c->transport->fd() >= 0) {
-        close(c->transport->fd());
-      }
-    }
-    if (listener_ != nullptr) listener_->Close();
-  };
-
-  auto spawn_worker = [&]() -> bool {
-    if (!spawning) return false;
-    if (stats_.workers_spawned >= max_spawns) {
-      stats_.spawn_budget_exhausted = true;
-      return false;
-    }
-    const std::size_t spawn_index = stats_.workers_spawned;
-    pid_t pid = -1;
-    if (!tcp) {
-      int fds[2];
-      if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
-      pid = fork();
-      if (pid < 0) {
+  // Forks worker `spawn_index`; -1 on failure. Forked children inherit
+  // every coordinator-side descriptor; keeping a sibling's fd open would
+  // mask its EOF forever, and an inherited listener would keep the port
+  // alive past the coordinator.
+  auto fork_worker = [&](std::size_t spawn_index) -> pid_t {
+    const std::uint16_t port = listen_port();
+    int fds[2] = {-1, -1};
+    if (!tcp && socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return -1;
+    const pid_t pid = fork();
+    if (pid == 0) {
+      for (const auto& [id, link] : links) close(link->fd());
+      if (listener_ != nullptr) listener_->Close();
+      if (!tcp) {
         close(fds[0]);
-        close(fds[1]);
-        return false;
-      }
-      if (pid == 0) {
-        close(fds[0]);
-        close_inherited_in_child();
         _exit(RunSocketpairWorker(fds[1], make_loop_config(spawn_index),
                                   tasks));
       }
+      TcpWorkerOptions worker_options;
+      worker_options.host = connect_host;
+      worker_options.port = port;
+      worker_options.loop = make_loop_config(spawn_index);
+      _exit(RunTcpShardWorker(worker_options));
+    }
+    if (!tcp) {
       close(fds[1]);
+      if (pid < 0) {
+        close(fds[0]);
+        return -1;
+      }
       fcntl(fds[0], F_SETFL, O_NONBLOCK);
       fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-      auto conn = std::make_unique<Connection>();
-      conn->transport = MakeFdTransport(
+      links[core.OnConnect(pid, obs::TraceNowMicros())] = MakeFdTransport(
           fds[0], "socketpair:" + std::to_string(spawn_index));
-      conn->pid = pid;
-      conn->last_seen = Clock::now();
-      conns.push_back(std::move(conn));
-    } else {
-      const std::uint16_t port = listener_->port();
-      pid = fork();
-      if (pid < 0) return false;
-      if (pid == 0) {
-        close_inherited_in_child();
-        TcpWorkerOptions worker_options;
-        worker_options.host = connect_host;
-        worker_options.port = port;
-        worker_options.loop = make_loop_config(spawn_index);
-        _exit(RunTcpShardWorker(worker_options));
-      }
     }
-    children.push_back(Child{pid, spawn_index, false, false});
-    ++stats_.workers_spawned;
-    ++live_children;
-    if (observed) {
-      registry.GetCounter("tfb_shard_workers_spawned_total").Increment();
+    if (pid > 0) {
+      int pidfd = -1;
+#ifdef SYS_pidfd_open
+      pidfd = static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
+#endif
+      children.push_back(ChildProcess{pid, pidfd});
     }
-    return true;
+    return pid;
   };
 
-  auto find_child = [&](pid_t pid) -> Child* {
-    if (pid < 0) return nullptr;
-    for (Child& child : children) {
-      if (child.pid == pid) return &child;
-    }
-    return nullptr;
-  };
-
-  // Called exactly once per child when its exit is first observed (an EOF
-  // fence or the WNOHANG sweep). Owns rusage accounting, death stats, and
-  // the replacement-spawn decision.
-  auto reap_child = [&](Child& child, int status, const struct rusage& usage,
-                        bool from_heartbeat) {
-    child.exited = true;
-    --live_children;
-    // Exact per-child accounting from the kernel via wait4(2).
-    const double cpu =
-        static_cast<double>(usage.ru_utime.tv_sec) +
-        static_cast<double>(usage.ru_utime.tv_usec) * 1e-6 +
-        static_cast<double>(usage.ru_stime.tv_sec) +
-        static_cast<double>(usage.ru_stime.tv_usec) * 1e-6;
-    const double rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
-    worker_cpu_seconds += cpu;
-    worker_peak_rss_mb = std::max(worker_peak_rss_mb, rss_mb);
-    if (observed) {
-      registry.GetCounter("tfb_shard_worker_cpu_seconds_total")
-          .Increment(cpu);
-      registry.GetGauge("tfb_shard_worker_peak_rss_mb")
-          .Set(worker_peak_rss_mb);
-    }
-    if (child.quit_expected) return;  // Clean, commanded exit.
-    ++stats_.worker_deaths;
-    if (from_heartbeat) ++stats_.heartbeat_kills;
-    if (observed) {
-      registry.GetCounter("tfb_shard_worker_deaths_total").Increment();
-      if (from_heartbeat) {
-        registry.GetCounter("tfb_shard_heartbeat_kills_total").Increment();
-      }
-    }
-    obs::DefaultLogger().Warn(
-        "shard: worker died",
-        {{"pid", std::to_string(child.pid)},
-         {"spawn", std::to_string(child.spawn_index)},
-         {"via", from_heartbeat ? "heartbeat-timeout" : "exit"},
-         {"status", std::to_string(status)}});
-    // Replace the casualty while work remains and the budget allows.
-    if (!draining && !hard_killed && resolved < pending.size()) {
-      spawn_worker();
-    }
-  };
-
-  auto sweep_children = [&] {
-    for (Child& child : children) {
-      if (child.exited) continue;
-      int status = 0;
-      struct rusage usage;
-      std::memset(&usage, 0, sizeof(usage));
-      const pid_t r = wait4(child.pid, &status, WNOHANG, &usage);
-      if (r == child.pid) {
-        reap_child(child, status, usage, /*from_heartbeat=*/false);
-      }
-    }
-  };
-
-  auto quarantine = [&](std::size_t slot, std::size_t deaths) {
-    const BenchmarkTask& task = tasks[slot];
-    ResultRow row;
-    row.dataset = task.dataset;
-    row.method = task.method;
-    row.horizon = task.horizon;
-    row.ok = false;
-    row.error = base::Status::Crashed(
-                    "poison task quarantined: killed its worker " +
-                    std::to_string(deaths) + "x")
-                    .ToString();
-    row.note = "quarantined by shard coordinator";
-    AppendJournal(quarantine_segment, row, journal_options);
-    rows[slot] = row;
-    done_slot[slot] = true;
-    ++resolved;
-    ++stats_.quarantined;
-    tracker.TaskFinished(row.method, /*ok=*/false, /*used_fallback=*/false,
-                         0.0);
-    if (observed) {
-      registry.GetCounter("tfb_shard_quarantined_total").Increment();
-    }
-    obs::DefaultLogger().Warn(
-        "shard: poison task quarantined",
-        {{"dataset", row.dataset},
-         {"method", row.method},
-         {"horizon", std::to_string(row.horizon)}});
-  };
-
-  // Tears one connection down and re-queues its unfinished work. The
-  // consequences depend on *why* it died: a worker-process death burns a
-  // shard attempt (the poison-search currency); a bare connection loss —
-  // network fault, partition, heartbeat silence with the process alive —
-  // re-queues for free and leaves the worker to reconnect under a fresh
-  // epoch. Every row the old epoch may still produce is fenced from here on.
-  auto fence_connection = [&](Connection& c, bool from_heartbeat) {
-    if (c.dead) return;
-    c.dead = true;
-    c.transport->Close();
-    for (const std::size_t slot : c.started) {
-      if (!done_slot[slot]) tracker.TaskAbandoned();
-    }
-    c.started.clear();
-
-    bool death = false;
-    Child* child = find_child(c.pid);
-    if (child != nullptr && child->exited) {
-      death = true;  // Already reaped by the sweep; this EOF is its echo.
-    } else if (child != nullptr) {
-      int status = 0;
-      struct rusage usage;
-      std::memset(&usage, 0, sizeof(usage));
-      if (!tcp) {
-        // A socketpair fd dies with its process: wait for the exit (the
-        // worker is at most a few instructions from _exit).
-        while (wait4(child->pid, &status, 0, &usage) < 0 && errno == EINTR) {
-        }
-        reap_child(*child, status, usage, from_heartbeat);
-        death = true;
-      } else if (wait4(child->pid, &status, WNOHANG, &usage) == child->pid) {
-        reap_child(*child, status, usage, from_heartbeat);
-        death = true;
-      }
-    }
-
-    if (c.quit_sent && !c.has_shard) return;  // Clean, commanded exit.
-
-    if (!death && c.welcomed) {
-      ++stats_.disconnects;
-      if (observed) {
-        registry.GetCounter("tfb_transport_disconnects_total").Increment();
-      }
-      obs::DefaultLogger().Warn(
-          "shard: worker connection lost, lease fenced",
-          {{"epoch", std::to_string(c.epoch)},
-           {"via", from_heartbeat ? "heartbeat-timeout" : "socket"},
-           {"transport", c.transport->Describe()}});
-    }
-
-    if (!c.has_shard) return;
-    Shard shard = std::move(c.shard);
-    c.has_shard = false;
-    shard.slots.erase(
-        std::remove_if(shard.slots.begin(), shard.slots.end(),
-                       [&](std::size_t slot) { return done_slot[slot]; }),
-        shard.slots.end());
-    if (shard.slots.empty()) {
-      ++shards_completed;  // It died on the finish line.
-    } else if (hard_killed) {
-      // Shutting down hard: abandon the remainder.
-    } else if (!death) {
-      // Connection drop without a death: re-dispatch for free. Network
-      // chaos must never binary-search healthy tasks into quarantine.
-      if (shard.attempts > 0) --shard.attempts;
-      queue.push_front(std::move(shard));
-      ++stats_.redispatches;
-      if (observed) {
-        registry.GetCounter("tfb_shard_redispatch_total").Increment();
-      }
-    } else if (shard.attempts >= shard_options_.max_shard_attempts) {
-      if (shard.slots.size() > 1) {
-        // Binary-search the poison: two half-shards, fresh attempts.
-        const std::size_t mid = shard.slots.size() / 2;
-        Shard left;
-        left.id = next_shard_id++;
-        left.slots.assign(shard.slots.begin(),
-                          shard.slots.begin() +
-                              static_cast<std::ptrdiff_t>(mid));
-        Shard right;
-        right.id = next_shard_id++;
-        right.slots.assign(shard.slots.begin() +
-                               static_cast<std::ptrdiff_t>(mid),
-                           shard.slots.end());
-        queue.push_front(std::move(right));
-        queue.push_front(std::move(left));
-        ++stats_.shard_splits;
-        shards_total += 2;
-        ++shards_completed;  // The parent shard is gone.
-        if (observed) {
-          registry.GetCounter("tfb_shard_splits_total").Increment();
-        }
-      } else {
-        quarantine(shard.slots[0], shard.attempts);
-        ++shards_completed;
-      }
-    } else {
-      queue.push_front(std::move(shard));
-      ++stats_.redispatches;
-      if (observed) {
-        registry.GetCounter("tfb_shard_redispatch_total").Increment();
-      }
-    }
-  };
-
-  auto protocol_violation = [&](Connection& c, const char* what) {
-    ++stats_.corrupt_frames;
-    if (observed) {
-      registry.GetCounter("tfb_transport_corrupt_frames_total").Increment();
-    }
-    obs::DefaultLogger().Warn(
-        "shard: protocol violation, killing connection",
-        {{"what", what}, {"epoch", std::to_string(c.epoch)}});
-    fence_connection(c, /*from_heartbeat=*/false);
-  };
-
-  // Clock-offset probes: a few PING echoes per connection, the first sent
-  // right after WELCOME and the rest as each PONG lands (back-to-back sends
-  // would share one queueing stall and defeat the min-RTT filter). The
-  // token carries the send timestamp, so the coordinator keeps no pending
-  // map: everything needed comes back in the echo.
-  constexpr std::size_t kPingProbes = 3;
-  auto send_ping = [&](Connection& c) {
-    if (!observed || c.dead || c.quit_sent) return;
-    Frame ping;
-    ping.type = FrameType::kPing;
-    char token[64];
-    std::snprintf(token, sizeof(token), "%zu %.3f", c.pings_sent,
-                  obs::TraceNowMicros());
-    ping.payload = token;
-    ++c.pings_sent;
-    if (!c.transport->Send(ping)) {
-      fence_connection(c, /*from_heartbeat=*/false);
-    }
-  };
-
-  // Applies one worker telemetry blob (piggybacked on HEARTBEAT/DONE).
-  // Dedup is per (pid, seq): a DONE resent through a healed partition
-  // carries the batch it was built with, and must not count twice.
-  auto merge_telemetry = [&](Connection& c, std::string_view blob) {
-    if (!observed) return;  // Never requested: stray blob, ignore.
-    WorkerTelemetry t;
-    if (!DeserializeWorkerTelemetry(blob, &t)) {
-      protocol_violation(c, "bad telemetry blob");
-      return;
-    }
-    WorkerRecord& rec = fleet[t.pid];
-    if (t.seq <= rec.last_seq) return;  // Replayed batch; already applied.
-    rec.last_seq = t.seq;
-    rec.tasks_completed = t.tasks_completed;
-    rec.cpu_seconds = t.cpu_seconds;
-    rec.peak_rss_mb = t.peak_rss_mb;
-    const std::string worker = std::to_string(t.pid);
-    MergeWorkerTelemetry(t, worker, c.clock_offset_us, &registry,
-                         &obs::DefaultTracer());
-    registry.GetGauge(SpliceWorkerLabel("tfb_fleet_worker_tasks", worker))
-        .Set(static_cast<double>(t.tasks_completed));
-    registry
-        .GetGauge(SpliceWorkerLabel("tfb_fleet_worker_cpu_seconds", worker))
-        .Set(t.cpu_seconds);
-    registry
-        .GetGauge(SpliceWorkerLabel("tfb_fleet_worker_peak_rss_mb", worker))
-        .Set(t.peak_rss_mb);
-    registry
-        .GetGauge(
-            SpliceWorkerLabel("tfb_fleet_worker_clock_offset_us", worker))
-        .Set(c.clock_offset_us);
-  };
-
-  auto welcome = [&](Connection& c, std::uint64_t prev_epoch,
-                     std::size_t claimed_pid) {
-    if (c.pid < 0) c.pid = static_cast<pid_t>(claimed_pid);
-    c.epoch = next_epoch++;
-    c.welcomed = true;
-    c.segment_path = segment_base + ".seg" + std::to_string(c.epoch);
-    segment_paths.push_back(c.segment_path);
-    ++stats_.connections;
-    if (observed) {
-      registry.GetCounter("tfb_transport_connections_total").Increment();
-    }
-    if (prev_epoch > 0) {
-      ++stats_.reconnects;
-      if (observed) {
-        registry.GetCounter("tfb_transport_reconnects_total").Increment();
-      }
-      obs::DefaultLogger().Info(
-          "shard: worker reconnected",
-          {{"prev_epoch", std::to_string(prev_epoch)},
-           {"epoch", std::to_string(c.epoch)}});
-    }
-    char header[64];
-    std::snprintf(header, sizeof(header), "%llu %.6f\n",
-                  static_cast<unsigned long long>(c.epoch),
-                  shard_options_.heartbeat_seconds > 0.0
-                      ? shard_options_.heartbeat_seconds
-                      : 0.25);
-    Frame frame;
-    frame.type = FrameType::kWelcome;
-    frame.payload = std::string(header) + options_blob;
-    if (!c.transport->Send(frame)) {
-      fence_connection(c, /*from_heartbeat=*/false);
-      return;
-    }
-    if (observed) {
-      // Post-WELCOME only: the worker's handshake rejects frames it is not
-      // expecting, and TCP ordering guarantees WELCOME lands first.
-      Frame ctx;
-      ctx.type = FrameType::kTraceCtx;
-      ctx.payload = SerializeTraceContext(TraceContext{run_trace_id, 0});
-      if (!c.transport->Send(ctx)) {
-        fence_connection(c, /*from_heartbeat=*/false);
-        return;
-      }
-      send_ping(c);
-    }
-  };
-
-  auto grant = [&](Connection& c) {
-    if (queue.empty() || draining || c.quit_sent || !c.welcomed || c.dead) {
-      return;
-    }
-    Shard shard = std::move(queue.front());
-    queue.pop_front();
-    if (tcp) {
-      // TCP workers inherit nothing: ship every task of the shard first.
-      for (const std::size_t slot : shard.slots) {
-        Frame task_frame;
-        task_frame.type = FrameType::kTask;
-        task_frame.payload =
-            std::to_string(slot) + "\n" + SerializeTask(tasks[slot]);
-        if (!c.transport->Send(task_frame)) {
-          // The connection is dying; its EOF will be handled shortly.
-          queue.push_front(std::move(shard));
-          return;
-        }
-      }
-    }
-    ++shard.attempts;
-    Frame grant_frame;
-    grant_frame.type = FrameType::kGrant;
-    grant_frame.payload = std::to_string(shard.id);
-    for (const std::size_t slot : shard.slots) {
-      grant_frame.payload += ' ';
-      grant_frame.payload += std::to_string(slot);
-    }
-    if (!c.transport->Send(grant_frame)) {
-      --shard.attempts;
-      queue.push_front(std::move(shard));
-      return;
-    }
-    c.has_shard = true;
-    c.shard = std::move(shard);
-    c.grant_start_us = obs::TraceNowMicros();
-    ++stats_.shards_dispatched;
-    if (observed) {
-      registry.GetCounter("tfb_shard_dispatch_total").Increment();
-    }
-  };
-
-  auto process_frame = [&](Connection& c, const Frame& frame) {
-    if (c.dead) return;
-    if (!c.welcomed) {
-      if (frame.type != FrameType::kHello) {
-        protocol_violation(c, "frame before HELLO");
-        return;
-      }
-      const auto fields = ParseSizeFields(frame.payload, 3, 3);
-      if (!fields || (*fields)[0] != kWireVersion) {
-        protocol_violation(c, "bad HELLO");
-        return;
-      }
-      c.last_seen = Clock::now();
-      welcome(c, (*fields)[1], (*fields)[2]);
-      return;
-    }
-    c.last_seen = Clock::now();
-    switch (frame.type) {
-      case FrameType::kHeartbeat: {
-        // "<epoch>" optionally followed by "\n<telemetry blob>".
-        const std::size_t nl = frame.payload.find('\n');
-        if (nl != std::string::npos) {
-          merge_telemetry(c, std::string_view(frame.payload).substr(nl + 1));
-        }
-        break;
-      }
-      case FrameType::kPong: {
-        // "<probe> <t_send> <t_remote>" — the first two are our own PING
-        // token echoed back; t_recv is now, on our clock.
-        const double t_recv = obs::TraceNowMicros();
-        unsigned long long probe = 0;
-        double t_send = 0.0;
-        double t_remote = 0.0;
-        if (std::sscanf(frame.payload.c_str(), "%llu %lf %lf", &probe,
-                        &t_send, &t_remote) != 3) {
-          protocol_violation(c, "bad PONG");
-          return;
-        }
-        PingSample sample;
-        sample.t_send_us = t_send;
-        sample.t_recv_us = t_recv;
-        sample.t_remote_us = t_remote;
-        c.ping_samples.push_back(sample);
-        c.clock_offset_us = EstimateClockOffset(c.ping_samples);
-        if (c.pings_sent < kPingProbes) send_ping(c);
-        break;
-      }
-      case FrameType::kStart: {
-        const auto fields = ParseSizeFields(frame.payload, 2, 2);
-        if (!fields) {
-          protocol_violation(c, "bad START");
-          return;
-        }
-        if ((*fields)[0] != c.epoch) break;  // Stale lease; ignore.
-        const std::size_t slot = (*fields)[1];
-        if (slot < total && !done_slot[slot]) {
-          c.started.insert(slot);
-          tracker.TaskStarted();
-        }
-        break;
-      }
-      case FrameType::kRow: {
-        const std::size_t nl = frame.payload.find('\n');
-        if (nl == std::string::npos) {
-          protocol_violation(c, "ROW without body");
-          return;
-        }
-        const std::string header = frame.payload.substr(0, nl);
-        const std::size_t sp = header.find_last_of(' ');
-        if (sp == std::string::npos) {
-          protocol_violation(c, "bad ROW header");
-          return;
-        }
-        const auto ints = ParseSizeFields(header.substr(0, sp), 4, 4);
-        const auto seconds = ParseStrictDouble(header.substr(sp + 1));
-        if (!ints || !seconds || (*ints)[2] > 1 || (*ints)[3] > 1) {
-          protocol_violation(c, "bad ROW header");
-          return;
-        }
-        const std::uint64_t row_epoch = (*ints)[0];
-        const std::size_t slot = (*ints)[1];
-        if (row_epoch != c.epoch) {
-          // The lease fence: a row computed under a superseded epoch —
-          // typically replayed after a reconnect, when its shard was
-          // already re-dispatched — must not override first-completed-wins.
-          ++stats_.fenced_completions;
-          if (observed) {
-            registry.GetCounter("tfb_transport_fenced_completions_total")
-                .Increment();
+  // Executes the core's actions in order; the results of the ones that can
+  // fail go straight back to the core as events.
+  std::function<void(ShardActions)> execute = [&](ShardActions actions) {
+    for (const ShardAction& a : actions) {
+      switch (a.kind) {
+        case ShardAction::Kind::kSend: {
+          const auto it = links.find(a.conn);
+          if (it != links.end() && !it->second->Send(a.frame)) {
+            execute(core.OnEof(a.conn, obs::TraceNowMicros()));
           }
-          obs::DefaultLogger().Info(
-              "shard: fenced stale completion",
-              {{"row_epoch", std::to_string(row_epoch)},
-               {"epoch", std::to_string(c.epoch)},
-               {"slot", std::to_string(slot)}});
           break;
         }
-        if (slot >= total) {
-          protocol_violation(c, "ROW slot out of range");
-          return;
-        }
-        ResultRow row;
-        if (!ParseJournalLine(frame.payload.substr(nl + 1), &row)) {
-          protocol_violation(c, "unparsable ROW journal line");
-          return;
-        }
-        // Durability before acknowledgement: the row lands in this
-        // connection's segment before the task is marked done, so a
-        // coordinator crash after this point still resumes correctly.
-        if (!AppendJournal(c.segment_path, row, journal_options)) {
-          obs::DefaultLogger().Error(
-              "shard: segment append failed; fencing connection",
-              {{"segment", c.segment_path}});
-          fence_connection(c, /*from_heartbeat=*/false);
-          return;
-        }
-        c.started.erase(slot);
-        if (!done_slot[slot]) {
-          done_slot[slot] = true;
-          ++resolved;
-          ++executed;
-          tracker.TaskFinished(tasks[slot].method, (*ints)[2] != 0,
-                               (*ints)[3] != 0, *seconds);
-          if (observed) {
-            registry.GetCounter("tfb_shard_tasks_completed_total")
-                .Increment();
-          }
-          if (shard_options_.fault_drain_after_tasks > 0 &&
-              executed >= shard_options_.fault_drain_after_tasks &&
-              !draining) {
-            draining = true;  // Chaos hook: behave as one SIGTERM.
-            stats_.interrupted = true;
-          }
-        }
-        break;
-      }
-      case FrameType::kDone: {
-        // "<epoch> <shard>" optionally followed by "\n<telemetry blob>".
-        const std::size_t nl = frame.payload.find('\n');
-        const std::string_view header =
-            std::string_view(frame.payload)
-                .substr(0, nl == std::string::npos ? frame.payload.size()
-                                                   : nl);
-        const auto fields = ParseSizeFields(header, 2, 2);
-        if (!fields) {
-          protocol_violation(c, "bad DONE");
-          return;
-        }
-        if (nl != std::string::npos) {
-          // Telemetry rides even on a fenced DONE — the batch describes the
-          // worker process, not the lease — and the seq fence already
-          // guards replays.
-          merge_telemetry(c, std::string_view(frame.payload).substr(nl + 1));
-          if (c.dead) return;  // The blob was garbage; connection fenced.
-        }
-        if ((*fields)[0] != c.epoch) break;  // Stale lease; ignore.
-        if (c.has_shard && c.shard.id == (*fields)[1]) {
-          // A DONE closes only the slots whose ROWs actually arrived. On a
-          // healthy connection the stream is FIFO (every ROW precedes its
-          // DONE), but a partial partition can swallow ROW frames and then
-          // heal in time for the DONE to sail through — without this check
-          // those slots would be marked nowhere and the run would wait on
-          // them forever. Lost slots re-queue as a fresh shard, free of
-          // attempt cost: the worker is healthy, the network ate the rows.
-          std::vector<std::size_t> missing;
-          for (const std::size_t slot : c.shard.slots) {
-            if (!done_slot[slot]) missing.push_back(slot);
-          }
-          if (!missing.empty()) {
-            obs::DefaultLogger().Warn(
-                "shard: DONE with undelivered rows, re-queueing",
-                {{"shard", std::to_string(c.shard.id)},
-                 {"missing", std::to_string(missing.size())},
-                 {"epoch", std::to_string(c.epoch)}});
-            Shard refill;
-            refill.id = next_shard_id++;
-            refill.slots = std::move(missing);
-            queue.push_front(std::move(refill));
-            ++shards_total;
-            ++stats_.redispatches;
-            if (observed) {
-              registry.GetCounter("tfb_shard_redispatch_total").Increment();
-            }
-          }
-          if (obs::DefaultTracer().enabled() && c.grant_start_us > 0.0) {
+        case ShardAction::Kind::kClose:
+          links.erase(a.conn);  // The transport closes on destruction.
+          break;
+        case ShardAction::Kind::kSpawn:
+          execute(core.OnSpawned(a.spawn_index, fork_worker(a.spawn_index),
+                                 obs::TraceNowMicros()));
+          break;
+        case ShardAction::Kind::kKill:
+          kill(static_cast<pid_t>(a.pid), SIGKILL);
+          break;
+        case ShardAction::Kind::kAppend:
+          execute(core.OnAppended(
+              a, AppendJournal(a.path, a.row, journal_options)));
+          break;
+        case ShardAction::Kind::kStopListening:
+          // A worker mid-reconnect then fails fast (ECONNREFUSED) and exits
+          // on its own connect budget instead of lingering.
+          if (listener_ != nullptr) listener_.reset();
+          break;
+        case ShardAction::Kind::kTaskStarted:
+          tracker.TaskStarted();
+          break;
+        case ShardAction::Kind::kTaskFinished:
+          tracker.TaskFinished(tasks[a.slot].method, a.ok, a.fallback,
+                               a.seconds);
+          break;
+        case ShardAction::Kind::kTaskAbandoned:
+          tracker.TaskAbandoned();
+          break;
+        case ShardAction::Kind::kTelemetry:
+          MergeWorkerTelemetry(a.telemetry, std::to_string(a.telemetry.pid),
+                               a.clock_offset_us, &registry,
+                               &obs::DefaultTracer());
+          break;
+        case ShardAction::Kind::kShardSpan:
+          if (obs::DefaultTracer().enabled()) {
             obs::DefaultTracer().RecordComplete(
-                "shard", "pipeline", c.grant_start_us,
-                obs::TraceNowMicros() - c.grant_start_us,
-                obs::ArgsJson(
-                    {{"shard", std::to_string(c.shard.id)},
-                     {"worker", std::to_string(c.pid)},
-                     {"epoch", std::to_string(c.epoch)},
-                     {"trace_id", std::to_string(run_trace_id)}}));
+                "shard", "pipeline", a.start_us,
+                obs::TraceNowMicros() - a.start_us, a.message);
           }
-          c.has_shard = false;
-          ++shards_completed;
-        }
-        break;
+          break;
+        case ShardAction::Kind::kLog:
+          obs::DefaultLogger().Log(a.level, a.message, a.fields.data(),
+                                   a.fields.data() + a.fields.size());
+          break;
       }
-      case FrameType::kHello:
-        protocol_violation(c, "duplicate HELLO");
-        return;
-      default:
-        break;  // Unknown frame types are ignored (forward compatibility).
     }
   };
 
-  // Drains whatever the connection has readable right now. Bounded rounds
-  // so one floody connection cannot starve the rest of the event loop.
-  auto pump_connection = [&](Connection& c) {
-    std::vector<Frame> frames;
-    for (int round = 0; round < 4 && !c.dead; ++round) {
-      frames.clear();
-      const Transport::RecvResult r = c.transport->Recv(&frames, 0);
-      if (r == Transport::RecvResult::kFrames) {
-        for (const Frame& frame : frames) {
-          process_frame(c, frame);
-          if (c.dead) return;
-        }
-        continue;
+  // The one place core stats reach the tfb_shard_* / tfb_transport_*
+  // counters, and the /status "shard" object.
+  auto publish = [&] {
+    const obs::ShardStats status = core.Status(obs::TraceNowMicros());
+    tracker.SetShardStats(status);
+    if (!observed) return;
+    const ShardRunStats& current = core.stats();
+    for (const auto& [name, field] : kMirrored) {
+      if (current.*field > mirrored.*field) {
+        registry.GetCounter(name).Increment(
+            static_cast<double>(current.*field - mirrored.*field));
       }
-      if (r == Transport::RecvResult::kIdle) return;
-      if (r == Transport::RecvResult::kCorrupt) {
-        protocol_violation(c, "corrupt frame");
-      } else {  // kEof / kError.
-        fence_connection(c, /*from_heartbeat=*/false);
-      }
-      return;
     }
-  };
-
-  auto accept_new_connections = [&] {
-    if (!tcp || listener_ == nullptr || listener_->fd() < 0) return;
-    while (std::unique_ptr<Transport> t = listener_->Accept()) {
-      fcntl(t->fd(), F_SETFL, O_NONBLOCK);
-      fcntl(t->fd(), F_SETFD, FD_CLOEXEC);
-      auto conn = std::make_unique<Connection>();
-      conn->transport = std::move(t);
-      conn->last_seen = Clock::now();
-      conns.push_back(std::move(conn));
+    if (core.tasks_completed() > mirrored_tasks) {
+      registry.GetCounter("tfb_shard_tasks_completed_total")
+          .Increment(
+              static_cast<double>(core.tasks_completed() - mirrored_tasks));
     }
+    mirrored = current;
+    mirrored_tasks = core.tasks_completed();
+    registry.GetGauge("tfb_shard_workers_live")
+        .Set(static_cast<double>(status.workers_live));
   };
 
   // --- Install drain-on-signal for the duration of the run ---
@@ -1113,208 +447,89 @@ std::vector<ResultRow> ShardCoordinator::Run(
   sigaction(SIGINT, &sa, &old_int);
   sigaction(SIGTERM, &sa, &old_term);
 
-  // --- Initial fleet ---
-  if (!pending.empty() && spawning) {
-    const std::size_t initial_workers =
-        std::min(num_workers, std::max<std::size_t>(1, queue.size()));
-    for (std::size_t i = 0; i < initial_workers; ++i) spawn_worker();
-  }
-  publish_shard_stats();
-
-  // --- Event loop ---
-  while (resolved < pending.size()) {
-    // Hand work to idle workers.
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      Connection& c = *conns[i];
-      if (!c.dead && c.welcomed && !c.has_shard) grant(c);
-    }
-    if (draining) {
-      bool in_flight = false;
-      for (const auto& c : conns) {
-        if (!c->dead && c->has_shard) in_flight = true;
-      }
-      if (!in_flight) break;  // Drained: queued work stays undone.
-    }
-    if (spawning && live_children == 0) {
-      // Everybody is dead. Spawn a fresh worker if the budget allows;
-      // otherwise the remaining tasks become INTERNAL rows below.
-      if (draining || hard_killed || !spawn_worker()) break;
-      continue;
-    }
-
+  // --- The event loop: poll, turn what happened into core events, execute
+  // the core's actions, until the core says every worker is gone ---
+  execute(core.OnTick(obs::TraceNowMicros()));
+  publish();
+  std::vector<Frame> frames;
+  while (!core.finished()) {
     std::vector<pollfd> pfds;
     pfds.push_back({g_shutdown_rfd, POLLIN, 0});
-    if (tcp && listener_ != nullptr && listener_->fd() >= 0) {
-      pfds.push_back({listener_->fd(), POLLIN, 0});
+    if (listener_ != nullptr) pfds.push_back({listener_->fd(), POLLIN, 0});
+    for (const auto& [id, link] : links) {
+      pfds.push_back({link->fd(), POLLIN, 0});
     }
-    for (const auto& c : conns) {
-      if (!c->dead && c->transport->fd() >= 0) {
-        pfds.push_back({c->transport->fd(), POLLIN, 0});
-      }
+    for (const ChildProcess& child : children) {
+      if (child.pidfd >= 0) pfds.push_back({child.pidfd, POLLIN, 0});
     }
-    const int rc = poll(pfds.data(), pfds.size(), 100);
-    if (rc < 0 && errno != EINTR) break;
+    poll(pfds.data(), pfds.size(), 100);
 
-    if (pfds[0].revents & POLLIN) {
-      shutdown_requests += DrainShutdownPipe();
-      if (shutdown_requests >= 1 && !draining) {
-        draining = true;
-        stats_.interrupted = true;
-        obs::DefaultLogger().Warn(
-            "shard: shutdown requested, draining in-flight shards", {});
-      }
-      if (shutdown_requests >= 2 && !hard_killed) {
-        hard_killed = true;
-        obs::DefaultLogger().Warn(
-            "shard: second shutdown request, killing workers", {});
-        for (const Child& child : children) {
-          if (!child.exited) kill(child.pid, SIGKILL);
-        }
-        for (std::size_t i = 0; i < conns.size(); ++i) {
-          Connection& c = *conns[i];
-          // External workers have no pid to kill; cut their connections.
-          if (!c.dead && find_child(c.pid) == nullptr) {
-            fence_connection(c, /*from_heartbeat=*/false);
-          }
-        }
-      }
+    for (std::size_t n = DrainShutdownPipe(); n > 0; --n) {
+      execute(core.OnShutdownRequest(obs::TraceNowMicros()));
     }
-
-    accept_new_connections();
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      Connection& c = *conns[i];
-      if (!c.dead) pump_connection(c);
+    while (listener_ != nullptr) {
+      std::unique_ptr<Transport> t = listener_->Accept();
+      if (t == nullptr) break;
+      fcntl(t->fd(), F_SETFL, O_NONBLOCK);
+      fcntl(t->fd(), F_SETFD, FD_CLOEXEC);
+      links[core.OnConnect(-1, obs::TraceNowMicros())] = std::move(t);
     }
-    if (tcp) sweep_children();
-
-    // Heartbeat timeouts. A silent socketpair worker is wedged without
-    // dying (e.g. SIGSTOP) — SIGKILL it and handle it exactly like a
-    // crash. A silent TCP connection may be a live worker behind a
-    // partition: fence the lease and let it reconnect.
-    if (shard_options_.heartbeat_timeout_seconds > 0.0) {
-      const auto now = Clock::now();
-      for (std::size_t i = 0; i < conns.size(); ++i) {
-        Connection& c = *conns[i];
-        if (c.dead || c.quit_sent) continue;
-        const double silent =
-            std::chrono::duration<double>(now - c.last_seen).count();
-        if (!c.welcomed) {
-          if (silent > 10.0) {  // Never said HELLO: not a worker.
-            c.dead = true;
-            c.transport->Close();
-          }
-          continue;
-        }
-        if (silent > shard_options_.heartbeat_timeout_seconds) {
-          if (!tcp && c.pid >= 0) kill(c.pid, SIGKILL);
-          fence_connection(c, /*from_heartbeat=*/true);
-        }
+    // One read per connection and round, so a floody one cannot starve
+    // the rest.
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, link] : links) ids.push_back(id);
+    for (const std::uint64_t id : ids) {
+      if (links.count(id) == 0) continue;  // Closed by an earlier event.
+      frames.clear();
+      const Transport::RecvResult r = links[id]->Recv(&frames, 0);
+      const double now = obs::TraceNowMicros();
+      if (r == Transport::RecvResult::kCorrupt ||
+          r == Transport::RecvResult::kEof ||
+          r == Transport::RecvResult::kError) {
+        execute(core.OnEof(id, now, r == Transport::RecvResult::kCorrupt));
+      }
+      for (std::size_t i = 0; i < frames.size() && links.count(id) != 0; ++i) {
+        execute(core.OnFrame(id, frames[i], now));
       }
     }
-    publish_shard_stats();
-  }
-
-  // --- Shutdown: command every survivor out, then reap it ---
-  // A worker whose shard fully completed but whose trailing DONE frame
-  // was not yet read when the loop exited is idle, not mid-shard.
-  for (const auto& c : conns) {
-    if (!c->dead && c->has_shard &&
-        std::all_of(c->shard.slots.begin(), c->shard.slots.end(),
-                    [&](std::size_t slot) { return done_slot[slot]; })) {
-      c->has_shard = false;
-      ++shards_completed;
-    }
-  }
-  // Stop accepting; a worker mid-reconnect then fails fast (ECONNREFUSED)
-  // and exits on its own connect budget instead of lingering.
-  if (listener_ != nullptr) {
-    listener_->Close();
-    listener_.reset();
-  }
-  for (Child& child : children) child.quit_expected = true;
-  for (const auto& c : conns) {
-    if (!c->dead) {
-      c->quit_sent = true;
-      Frame quit;
-      quit.type = FrameType::kQuit;
-      c->transport->Send(quit);
-    }
-  }
-  // Child exit has no descriptor of its own, so a reap loop built on the
-  // connection fds alone goes blind the moment the last EOF lands — on a
-  // single CPU the child is typically still runnable-but-unscheduled at
-  // that point, and a blind sleep here was a measurable constant tail on
-  // every run. A pidfd makes exit pollable: the loop wakes the instant the
-  // worker is gone. Where pidfd_open is unavailable the poll set may go
-  // empty and a short sleep stands in.
-  std::vector<int> child_pidfds(children.size(), -1);
-#ifdef SYS_pidfd_open
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    if (!children[i].exited) {
-      child_pidfds[i] =
-          static_cast<int>(syscall(SYS_pidfd_open, children[i].pid, 0));
-    }
-  }
-#endif
-  const auto reap_deadline = Clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    bool conn_alive = false;
-    for (const auto& c : conns) {
-      if (!c->dead) conn_alive = true;
-    }
-    if ((live_children == 0 && !conn_alive) || Clock::now() >= reap_deadline) {
-      break;
-    }
-    std::vector<pollfd> pfds;
-    for (const auto& c : conns) {
-      if (!c->dead && c->transport->fd() >= 0) {
-        pfds.push_back({c->transport->fd(), POLLIN, 0});
+    // The one child-exit path: exact per-child rusage from wait4(2).
+    for (std::size_t i = 0; i < children.size();) {
+      int status = 0;
+      struct rusage usage;
+      std::memset(&usage, 0, sizeof(usage));
+      const pid_t r = wait4(children[i].pid, &status, WNOHANG, &usage);
+      if (r == 0 || (r < 0 && errno == EINTR)) {
+        ++i;
+        continue;
       }
-    }
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      if (!children[i].exited && child_pidfds[i] >= 0) {
-        pfds.push_back({child_pidfds[i], POLLIN, 0});
+      const obs::ResourceUsage used = obs::FromRusage(usage);
+      const double cpu = used.total_cpu_seconds();
+      worker_cpu_seconds += cpu;
+      worker_peak_rss_mb = std::max(worker_peak_rss_mb, used.max_rss_mb);
+      if (observed) {
+        registry.GetCounter("tfb_shard_worker_cpu_seconds_total")
+            .Increment(cpu);
+        registry.GetGauge("tfb_shard_worker_peak_rss_mb")
+            .Set(worker_peak_rss_mb);
       }
+      if (children[i].pidfd >= 0) close(children[i].pidfd);
+      const pid_t pid = children[i].pid;
+      children.erase(children.begin() + static_cast<std::ptrdiff_t>(i));
+      execute(core.OnChildExit(pid, status, obs::TraceNowMicros()));
     }
-    if (!pfds.empty()) {
-      const int rc = poll(pfds.data(), pfds.size(), 200);
-      if (rc < 0 && errno != EINTR) break;
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    // Late ROW/DONE frames still count: a worker may complete its shard
-    // between the loop's exit and the QUIT reaching it.
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      Connection& c = *conns[i];
-      if (!c.dead) pump_connection(c);
-    }
-    sweep_children();
+    execute(core.OnTick(obs::TraceNowMicros()));
+    publish();
   }
-  for (const int pidfd : child_pidfds) {
-    if (pidfd >= 0) close(pidfd);
-  }
-  for (Child& child : children) {
-    if (child.exited) continue;
-    kill(child.pid, SIGKILL);  // Refused to leave within the grace period.
-    int status = 0;
-    struct rusage usage;
-    std::memset(&usage, 0, sizeof(usage));
-    while (wait4(child.pid, &status, 0, &usage) < 0 && errno == EINTR) {
-    }
-    reap_child(child, status, usage, /*from_heartbeat=*/false);
-  }
-  for (const auto& c : conns) {
-    if (!c->dead) {
-      c->dead = true;
-      c->transport->Close();
-    }
-  }
+  links.clear();
+  listener_.reset();
   sigaction(SIGINT, &old_int, nullptr);
   sigaction(SIGTERM, &old_term, nullptr);
+  const std::size_t scavenged = stats_.scavenged_segments;
+  stats_ = core.stats();
+  stats_.scavenged_segments = scavenged;
 
   // --- Merge: segments -> rows -> journal, atomically ---
-  std::vector<std::string> all_segments = segment_paths;
-  all_segments.push_back(quarantine_segment);
+  const std::vector<std::string> all_segments = core.segments();
   std::size_t torn = 0;
   const std::vector<ResultRow> segment_rows =
       LoadJournalSegments(all_segments, &torn);
@@ -1325,11 +540,7 @@ std::vector<ResultRow> ShardCoordinator::Run(
                                       segment_rows[i].horizon),
                            i);
   }
-  std::vector<bool> journaled = adopted;  // Slots the merged journal keeps.
-  std::unordered_set<std::size_t> rejected(unmarshallable.begin(),
-                                           unmarshallable.end());
-  for (std::size_t slot = 0; slot < total; ++slot) {
-    if (adopted[slot] || rejected.count(slot) != 0) continue;
+  for (const std::size_t slot : pending) {
     const auto it = segment_by_key.find(JournalKey(
         tasks[slot].dataset, tasks[slot].method, tasks[slot].horizon));
     if (it != segment_by_key.end()) {
@@ -1338,18 +549,12 @@ std::vector<ResultRow> ShardCoordinator::Run(
     } else {
       // Never completed by any worker: an interrupted or starved task.
       // Deliberately NOT journaled, so --resume runs it.
-      ResultRow& row = rows[slot];
-      row.dataset = tasks[slot].dataset;
-      row.method = tasks[slot].method;
-      row.horizon = tasks[slot].horizon;
-      row.ok = false;
-      row.error =
-          (stats_.interrupted
-               ? base::Status::Aborted("run interrupted before task completed")
-               : base::Status::Internal(
-                     "task not completed by any worker (spawn budget "
-                     "exhausted)"))
-              .ToString();
+      rows[slot] = ErrorRow(
+          tasks[slot],
+          stats_.interrupted
+              ? base::Status::Aborted("run interrupted before task completed")
+              : base::Status::Internal("task not completed by any worker "
+                                       "(spawn budget exhausted)"));
     }
   }
   if (!journal_path.empty()) {
@@ -1377,7 +582,7 @@ std::vector<ResultRow> ShardCoordinator::Run(
                         runner_options_.journal_fsync)) {
       obs::DefaultLogger().Error("shard: journal merge failed; segments kept",
                                  {{"journal", journal_path}});
-      publish_shard_stats();
+      publish();
       tracker.EndRun();
       return rows;  // Segments stay on disk for the next resume to scavenge.
     }
@@ -1385,14 +590,14 @@ std::vector<ResultRow> ShardCoordinator::Run(
   for (const std::string& p : all_segments) unlink(p.c_str());
   if (!temp_dir.empty()) rmdir(temp_dir.c_str());
 
-  publish_shard_stats();
+  publish();
   tracker.EndRun();
   if (runner_options_.verbose || stats_.worker_deaths > 0 ||
       stats_.disconnects > 0 || stats_.fenced_completions > 0) {
     obs::DefaultLogger().Info(
         "shard run finished",
         {{"transport", transport_name},
-         {"workers", std::to_string(num_workers)},
+         {"workers", std::to_string(shard_options_.num_workers)},
          {"spawned", std::to_string(stats_.workers_spawned)},
          {"deaths", std::to_string(stats_.worker_deaths)},
          {"redispatches", std::to_string(stats_.redispatches)},

@@ -13,52 +13,31 @@
 
 /// \file
 /// Sharded multi-process benchmark execution with a crash-tolerant
-/// coordinator (`--workers=N`). The coordinator deterministically partitions
-/// the task grid into shards of consecutive pending tasks and hands them
-/// out over framed, CRC-checked connections (see transport.h) as workers go
-/// idle — a pull-based work queue, so a slow shard never stalls the rest of
-/// the grid behind a static partition. Two transports:
+/// coordinator (`--workers=N`; DESIGN.md "Sharded execution" has the full
+/// story). The pending task grid is cut into shards of consecutive tasks,
+/// handed out over framed, CRC-checked connections (transport.h) as
+/// workers go idle, over one of two transports: forked children on an
+/// inherited socketpair (default; tasks need no marshalling), or TCP
+/// (`--transport=tcp`), where tasks travel in TASK frames and workers may
+/// be external `tfb_worker` processes (`spawn_workers=false`).
 ///
-///  - socketpair (default): workers are fork()ed children inheriting the
-///    in-memory grid over a per-worker `socketpair(AF_UNIX)` — no task
-///    marshalling, so tasks with in-memory `custom_candidates` stay
-///    runnable.
-///  - tcp (`--transport=tcp`): the coordinator listens (`--listen`), tasks
-///    are marshalled explicitly in TASK frames, and workers connect over
-///    TCP — forked loopback children by default, or external `tfb_worker`
-///    processes on any host (`spawn_workers=false`).
+/// Every decision lives in one syscall-free, clock-free state machine,
+/// ShardCore (shard_core.h): lease epochs that fence stale rows, the
+/// death-or-drop verdict on a lost connection (a worker death burns a
+/// shard attempt; a network drop re-queues for free), poison splitting and
+/// quarantine, the refill of rows a DONE claims but never delivered,
+/// drain, and ShardRunStats. ShardCoordinator::Run is a thin poll shell
+/// around it: one event loop over the sockets, the shutdown self-pipe and
+/// one pidfd per forked child, executing the core's actions and mirroring
+/// its stats into the `tfb_shard_*` / `tfb_transport_*` counters and the
+/// /status "shard" object in one place.
 ///
-/// Lease epochs: every accepted connection is welcomed with a fresh,
-/// monotonically increasing epoch. Results (ROW frames) are accepted only
-/// when they carry the connection's current epoch; a worker that vanished,
-/// had its shard re-dispatched, and later reconnects replays its stale rows
-/// under the old epoch and every one is *fenced* (counted, rejected) — the
-/// first-completed-wins dedup and byte-identical `--resume` survive any
-/// reconnect interleaving.
-///
-/// Fault model: a worker process that dies mid-shard is detected by EOF or
-/// missed heartbeats; the unfinished remainder of its shard is re-queued.
-/// A shard that repeatedly kills workers is split in half to binary-search
-/// the poisonous task, which is finally quarantined with a CRASHED row.
-/// A TCP connection that merely drops (network fault, partition) is fenced
-/// and its shard re-queued *without* burning a shard attempt — network
-/// chaos must not quarantine healthy tasks — and the worker reconnects with
-/// capped exponential backoff.
-///
-/// Durability: workers hold no journal; every finished row travels back in
-/// its ROW frame and the coordinator appends it to a per-connection segment
-/// (`<journal>.seg<epoch>`) *before* marking the task done. Segments merge
-/// into the main journal at the end (first-completed-wins dedup, atomic
-/// rewrite) and a resumed run scavenges leftover segments first, so
-/// `--resume` recovers from any coordinator/worker crash combination
-/// byte-identically (pipeline_determinism_test proves it for both
-/// transports, including mid-run kills).
-///
-/// SIGINT/SIGTERM drain the run; a second signal kills workers immediately.
-/// Liveness, shard progress, transport health (reconnects, fenced
-/// completions, corrupt frames) and per-worker rusage are exported through
-/// tfb/obs (`tfb_shard_*` / `tfb_transport_*` metrics and the /status
-/// "shard" object).
+/// Durability: workers hold no journal. Each accepted row is appended to a
+/// per-connection segment (`<journal>.seg<epoch>`) before its task counts
+/// as done; segments merge into the journal at the end (first completed
+/// wins, atomic rewrite), and `--resume` scavenges the segments of a
+/// crashed run first, so a resumed run is byte-identical to a clean one.
+/// SIGINT/SIGTERM drain the run; a second signal kills the workers.
 
 namespace tfb::pipeline {
 

@@ -1,6 +1,5 @@
 #include "tfb/pipeline/telemetry.h"
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,6 +8,7 @@
 #include <set>
 
 #include "tfb/base/blob.h"
+#include "tfb/obs/rusage.h"
 #include "tfb/pipeline/wire.h"
 
 namespace tfb::pipeline {
@@ -182,14 +182,9 @@ WorkerTelemetry TelemetryCollector::Collect(std::uint64_t trace_id,
   out.seq = ++seq_;
   out.trace_id = trace_id;
   out.tasks_completed = tasks_completed;
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    out.cpu_seconds =
-        static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
-        static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) /
-            1e6;
-    out.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
-  }
+  const obs::ResourceUsage usage = obs::SelfUsage();
+  out.cpu_seconds = usage.total_cpu_seconds();
+  out.peak_rss_mb = usage.max_rss_mb;
 
   for (const obs::TraceEvent& e :
        obs::DefaultTracer().DrainSince(&trace_cursor_)) {
@@ -261,6 +256,14 @@ void MergeWorkerTelemetry(const WorkerTelemetry& telemetry,
       registry->GetHistogram(SpliceWorkerLabel(h.name, worker), h.bounds)
           .MergeBuckets(h.bucket_deltas, h.sum_delta);
     }
+    const auto fleet_gauge = [&](const char* name, double value) {
+      registry->GetGauge(SpliceWorkerLabel(name, worker)).Set(value);
+    };
+    fleet_gauge("tfb_fleet_worker_tasks",
+                static_cast<double>(telemetry.tasks_completed));
+    fleet_gauge("tfb_fleet_worker_cpu_seconds", telemetry.cpu_seconds);
+    fleet_gauge("tfb_fleet_worker_peak_rss_mb", telemetry.peak_rss_mb);
+    fleet_gauge("tfb_fleet_worker_clock_offset_us", clock_offset_us);
   }
 
   if (tracer == nullptr || telemetry.spans.empty()) return;

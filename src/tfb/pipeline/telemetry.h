@@ -136,7 +136,8 @@ std::string SpliceWorkerLabel(const std::string& name,
                               const std::string& worker);
 
 /// Coordinator-side merge: applies `telemetry` into `registry` under a
-/// `worker="<worker>"` label and stitches its spans into `tracer` with
+/// `worker="<worker>"` label (plus the `tfb_fleet_worker_*` usage gauges
+/// its header carries) and stitches its spans into `tracer` with
 /// timestamps re-aligned by `clock_offset_us` (the EstimateClockOffset
 /// result for that connection) and pid set to the worker's. The first merge
 /// for a pid also records a `process_name` metadata event so the trace

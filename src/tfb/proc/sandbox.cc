@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "tfb/base/io.h"
+#include "tfb/obs/log.h"
 #include "tfb/obs/metrics.h"
 #include "tfb/obs/trace.h"
 
@@ -68,11 +69,6 @@ int WaitPid(pid_t pid, int* status, rusage* usage) {
     const pid_t r = wait4(pid, status, 0, usage);
     if (r >= 0 || errno != EINTR) return static_cast<int>(r);
   }
-}
-
-double TimevalSeconds(const timeval& tv) {
-  return static_cast<double>(tv.tv_sec) +
-         static_cast<double>(tv.tv_usec) * 1e-6;
 }
 
 /// Bound on captured child stderr held by the supervisor. The buffer is
@@ -240,7 +236,13 @@ SandboxResult RunInSandbox(const SandboxBody& body,
     // parent. Anything that goes wrong from here on is the supervisor's
     // problem to classify, not ours to handle. Its stderr is rerouted into
     // the supervisor's capture pipe so last words (asserts, sanitizer
-    // reports) reach the failed row.
+    // reports) reach the failed row. Observability goes dark first: a
+    // sibling thread may have held the tracer, registry or logger mutex at
+    // the fork, and no thread here will ever release it. (The events would
+    // die with the child anyway.)
+    obs::SetEnabled(false);
+    obs::DefaultTracer().Disable();
+    obs::DefaultLogger().SetLevel(obs::LogLevel::kOff);
     close(fds[0]);
     close(err_fds[0]);
     dup2(err_fds[1], STDERR_FILENO);
@@ -301,10 +303,7 @@ SandboxResult RunInSandbox(const SandboxBody& body,
         result.fate, std::string("waitpid() failed: ") + std::strerror(errno));
     return result;
   }
-  result.usage.user_cpu_seconds = TimevalSeconds(child_usage.ru_utime);
-  result.usage.sys_cpu_seconds = TimevalSeconds(child_usage.ru_stime);
-  // Linux reports ru_maxrss in KiB.
-  result.usage.max_rss_mb = static_cast<double>(child_usage.ru_maxrss) / 1024.0;
+  result.usage = obs::FromRusage(child_usage);
   result.has_usage = true;
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();

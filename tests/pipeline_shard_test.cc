@@ -13,11 +13,13 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tfb/methods/fault_injection.h"
+#include "tfb/obs/metrics.h"
 #include "tfb/obs/progress.h"
 #include "tfb/pipeline/journal.h"
 #include "tfb/pipeline/runner.h"
@@ -95,12 +97,24 @@ TEST(Shard, MatchesSingleProcessRowByRow) {
   EXPECT_FALSE(coordinator.stats().interrupted);
 }
 
-TEST(Shard, WorkerKillMidRunRecovers) {
+// Worker-death handling is transport-independent: every case below runs
+// over the inherited socketpair and over TCP loopback.
+class ShardOverTransport : public testing::TestWithParam<ShardTransport> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, ShardOverTransport,
+    testing::Values(ShardTransport::kSocketpair, ShardTransport::kTcp),
+    [](const testing::TestParamInfo<ShardTransport>& info) {
+      return info.param == ShardTransport::kTcp ? "tcp" : "socketpair";
+    });
+
+TEST_P(ShardOverTransport, WorkerKillMidRunRecovers) {
   const std::vector<BenchmarkTask> tasks = SmallGrid();
   RunnerOptions options;
   const auto single = BenchmarkRunner(options).Run(tasks);
 
   ShardOptions shard_options;
+  shard_options.transport = GetParam();
   shard_options.num_workers = 2;
   shard_options.shard_size = 2;
   shard_options.fault_kill_worker = 0;  // First spawn dies after one task.
@@ -126,6 +140,98 @@ TEST(Shard, WorkerKillMidRunRecovers) {
       obs::DefaultProgressTracker().StatusJson("shard-test");
   EXPECT_NE(status.find("\"shard\":{"), std::string::npos) << status;
   EXPECT_NE(status.find("\"worker_deaths\":"), std::string::npos) << status;
+}
+
+TEST_P(ShardOverTransport, KilledWorkerIsADeathNotADrop) {
+  // One worker holds the whole grid as one shard and is SIGKILLed after
+  // its first task. Its EOF and its exit race each other; whichever the
+  // coordinator sees first, the verdict must be a death: with one attempt
+  // allowed, the shard splits (never a free, attempt-refunding re-queue
+  // booked as a network drop).
+  const std::vector<BenchmarkTask> tasks = SmallGrid();
+  const auto single = BenchmarkRunner(RunnerOptions{}).Run(tasks);
+  for (int rep = 0; rep < 30; ++rep) {
+    ShardOptions shard_options;
+    shard_options.transport = GetParam();
+    shard_options.num_workers = 1;
+    shard_options.shard_size = tasks.size();
+    shard_options.fault_kill_worker = 0;
+    shard_options.fault_kill_after_tasks = 1;
+    shard_options.max_shard_attempts = 1;
+    ShardCoordinator coordinator(RunnerOptions{}, shard_options);
+    const auto sharded = coordinator.Run(tasks);
+    ExpectIdenticalRows(single, sharded);
+    const ShardRunStats& stats = coordinator.stats();
+    EXPECT_EQ(stats.worker_deaths, 1u) << "rep " << rep;
+    EXPECT_EQ(stats.shard_splits, 1u) << "rep " << rep;
+    EXPECT_EQ(stats.disconnects, 0u) << "rep " << rep;
+    EXPECT_EQ(stats.quarantined, 0u) << "rep " << rep;
+  }
+}
+
+// Every tfb_shard_* / tfb_transport_* counter moves by exactly its
+// ShardRunStats field over a run: a worker kill (deaths, respawns,
+// re-dispatch) and a TCP chaos-drop run (connections, reconnects,
+// disconnects) between them exercise every non-zero field.
+TEST_P(ShardOverTransport, ObsCountersMirrorRunStats) {
+  const std::vector<std::pair<const char*, std::size_t ShardRunStats::*>>
+      mirrored = {
+          {"tfb_shard_workers_spawned_total", &ShardRunStats::workers_spawned},
+          {"tfb_shard_worker_deaths_total", &ShardRunStats::worker_deaths},
+          {"tfb_shard_heartbeat_kills_total", &ShardRunStats::heartbeat_kills},
+          {"tfb_shard_dispatch_total", &ShardRunStats::shards_dispatched},
+          {"tfb_shard_redispatch_total", &ShardRunStats::redispatches},
+          {"tfb_shard_splits_total", &ShardRunStats::shard_splits},
+          {"tfb_shard_quarantined_total", &ShardRunStats::quarantined},
+          {"tfb_transport_connections_total", &ShardRunStats::connections},
+          {"tfb_transport_reconnects_total", &ShardRunStats::reconnects},
+          {"tfb_transport_disconnects_total", &ShardRunStats::disconnects},
+          {"tfb_transport_fenced_completions_total",
+           &ShardRunStats::fenced_completions},
+          {"tfb_transport_corrupt_frames_total",
+           &ShardRunStats::corrupt_frames},
+      };
+  const std::vector<BenchmarkTask> tasks = SmallGrid();
+  ShardOptions shard_options;
+  shard_options.transport = GetParam();
+  shard_options.num_workers = 1;  // The first spawn surely gets work.
+  shard_options.shard_size = 2;
+  if (GetParam() == ShardTransport::kTcp) {
+    shard_options.chaos.drop = 0.25;
+    shard_options.chaos.seed = 5;
+  } else {
+    shard_options.fault_kill_worker = 0;
+    shard_options.fault_kill_after_tasks = 1;
+  }
+  obs::Registry& registry = obs::DefaultRegistry();
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  std::vector<double> before;
+  for (const auto& [name, field] : mirrored) {
+    before.push_back(registry.GetCounter(name).Value());
+  }
+  const double tasks_before =
+      registry.GetCounter("tfb_shard_tasks_completed_total").Value();
+  ShardCoordinator coordinator(RunnerOptions{}, shard_options);
+  coordinator.Run(tasks);
+  obs::SetEnabled(was_enabled);
+
+  const ShardRunStats& stats = coordinator.stats();
+  for (std::size_t i = 0; i < mirrored.size(); ++i) {
+    EXPECT_EQ(registry.GetCounter(mirrored[i].first).Value() - before[i],
+              static_cast<double>(stats.*mirrored[i].second))
+        << mirrored[i].first;
+  }
+  EXPECT_EQ(
+      registry.GetCounter("tfb_shard_tasks_completed_total").Value() -
+          tasks_before,
+      static_cast<double>(tasks.size()));
+  if (GetParam() == ShardTransport::kTcp) {
+    EXPECT_GE(stats.disconnects, 1u);
+    EXPECT_GE(stats.reconnects, 1u);
+  } else {
+    EXPECT_GE(stats.worker_deaths, 1u);
+  }
 }
 
 TEST(Shard, HeartbeatTimeoutRecoversWedgedWorker) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -17,6 +18,9 @@
 
 #include <unistd.h>
 
+#include "tfb/obs/log.h"
+#include "tfb/obs/metrics.h"
+#include "tfb/obs/trace.h"
 #include "tfb/proc/sandbox.h"
 
 namespace tfb::proc {
@@ -289,6 +293,51 @@ TEST(ProcSandbox, ConcurrentSandboxesFromWorkerThreads) {
       EXPECT_EQ(results[i].payload, "worker " + std::to_string(i));
     }
   }
+}
+
+TEST(ProcSandbox, ChildrenNeverBlockOnObsLocksHeldAtFork) {
+  // A sibling thread keeps the tracer, registry and logger mutexes busy
+  // while sandboxes fork. A child forked inside one of those critical
+  // sections inherits a locked mutex whose owner does not exist in it, so
+  // a body that spans, counts or logs like the runner does would block
+  // forever — unless the child turns obs off before running it. The wall
+  // budget turns such a hang into a failed fate instead of a stuck test.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::DefaultTracer().Enable();
+  obs::Logger& logger = obs::DefaultLogger();
+  logger.SetTextSink(nullptr);
+  std::atomic<bool> stop{false};
+  std::thread hammer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const obs::ScopedSpan span("hammer", "test");
+      obs::DefaultRegistry().GetCounter("tfb_test_hammer_total").Increment();
+      logger.Info("hammer", {{"k", "v"}});
+    }
+  });
+  const auto body = [] {
+    for (int i = 0; i < 20; ++i) {
+      const obs::ScopedSpan span("body", "test");
+      if (obs::Enabled()) {
+        obs::DefaultRegistry().GetCounter("tfb_test_body_total").Increment();
+      }
+      obs::DefaultLogger().Info("body", {{"i", std::to_string(i)}});
+    }
+    return std::string("done");
+  };
+  SandboxLimits limits;
+  limits.wall_seconds = 5.0;
+  int completed = 0;
+  for (; completed < 300; ++completed) {
+    const SandboxResult r = RunInSandbox(body, limits);
+    if (r.fate != TaskFate::kOk || r.payload != "done") break;
+  }
+  stop = true;
+  hammer.join();
+  logger.SetTextSink(stderr);
+  obs::DefaultTracer().Disable();
+  obs::SetEnabled(was_enabled);
+  EXPECT_EQ(completed, 300) << "sandbox " << completed << " hung";
 }
 
 }  // namespace
