@@ -66,7 +66,9 @@ double RunFilter(const StateSpace& ss, double r_obs,
 
   double neg_loglik = 0.0;
   std::vector<double> xp(m);
+  linalg::Matrix fp(m, m);
   linalg::Matrix pp(m, m);
+  std::vector<double> ph(m);  // Pp H'
   for (double obs : y) {
     // Predict: xp = F x; Pp = F P F' + Q.
     for (std::size_t i = 0; i < m; ++i) {
@@ -74,15 +76,30 @@ double RunFilter(const StateSpace& ss, double r_obs,
       for (std::size_t j = 0; j < m; ++j) s += ss.f(i, j) * x[j];
       xp[i] = s;
     }
-    linalg::Matrix fp = linalg::MatMul(ss.f, p);
-    pp = linalg::MatMulT(fp, ss.f);
+    // F P and (F P) F' inline, in linalg::kernel's summation order (each
+    // element accumulated in ascending k from +0), so the bits equal
+    // linalg::MatMul/MatMulT without two allocations and two GEMM
+    // dispatches per step.
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) fp(i, j) = 0.0;
+      for (std::size_t k = 0; k < m; ++k) {
+        const double fik = ss.f(i, k);
+        for (std::size_t j = 0; j < m; ++j) fp(i, j) += fik * p(k, j);
+      }
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) pp(i, j) = 0.0;
+      for (std::size_t k = 0; k < m; ++k) {
+        const double fpik = fp(i, k);
+        for (std::size_t j = 0; j < m; ++j) pp(i, j) += fpik * ss.f(j, k);
+      }
+    }
     for (std::size_t i = 0; i < m; ++i) pp(i, i) += ss.q[i];
 
     // Innovation.
     double y_pred = 0.0;
     for (std::size_t i = 0; i < m; ++i) y_pred += ss.h[i] * xp[i];
     const double v = obs - y_pred;
-    std::vector<double> ph(m, 0.0);  // Pp H'
     for (std::size_t i = 0; i < m; ++i) {
       double s = 0.0;
       for (std::size_t j = 0; j < m; ++j) s += pp(i, j) * ss.h[j];

@@ -263,12 +263,15 @@ std::vector<methods::MethodConfig> HyperSearchSpace(const std::string& name,
   add(params, "");
   // Look-back variants are the dominant hyper-parameter in the paper's
   // protocol (Section 5.1.2: H in {36, 104} or {96, 336, 512}, scaled here
-  // as multiples of the horizon).
-  const std::size_t h = std::max<std::size_t>(params.horizon, 1);
-  for (const std::size_t mult : {1, 2, 3, 4}) {
-    MethodParams p = params;
-    p.lookback = mult * h;
-    add(p, "/L" + std::to_string(p.lookback));
+  // as multiples of the horizon). Statistical methods read no look-back,
+  // so for them each variant would be the default model again.
+  if (MethodParadigm(name) != Paradigm::kStatistical) {
+    const std::size_t h = std::max<std::size_t>(params.horizon, 1);
+    for (const std::size_t mult : {1, 2, 3, 4}) {
+      MethodParams p = params;
+      p.lookback = mult * h;
+      add(p, "/L" + std::to_string(p.lookback));
+    }
   }
   // Seed variants stand in for initialization-sensitive searches (DL only).
   if (MethodParadigm(name) == Paradigm::kDeepLearning) {

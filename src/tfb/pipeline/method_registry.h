@@ -64,8 +64,10 @@ std::optional<methods::MethodConfig> MakeMethod(const std::string& name,
                                                 const MethodParams& params);
 
 /// The hyper-parameter search space of a method: up to `max_sets` (the
-/// paper caps at 8) candidate configurations varying look-back windows and
-/// method-specific knobs. The first entry is the default configuration.
+/// paper caps at 8) distinct candidate configurations. The first entry is
+/// the default configuration. ML and DL methods add look-back windows
+/// (and DL methods seeds); statistical methods read no look-back, so their
+/// space is the default alone and the runner skips selection for them.
 std::vector<methods::MethodConfig> HyperSearchSpace(
     const std::string& name, const MethodParams& params,
     std::size_t max_sets = 8);

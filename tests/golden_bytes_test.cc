@@ -141,17 +141,20 @@ TEST(GoldenBytes, EncodeFrame) {
             "494c49227deb6c70a5");
 }
 
-std::string ModelEnvelope(const std::string& method) {
+std::string ModelEnvelope(
+    const std::string& method, std::size_t period = 0,
+    const ts::TimeSeries& train = ts::TimeSeries::Univariate(
+        {1.0, 2.0, 3.5, 4.0, 2.5, 1.0, 0.5, 3.0, 2.0, 4.5, 1.5, 2.5})) {
   pipeline::MethodParams params;
   params.horizon = 4;
   params.lookback = 8;
+  params.period = period;
   params.seed = 11;
   const auto config = pipeline::MakeMethod(method, params);
   EXPECT_TRUE(config.has_value()) << method;
   if (!config.has_value()) return std::string();
   auto model = config->factory();
-  model->Fit(ts::TimeSeries::Univariate(
-      {1.0, 2.0, 3.5, 4.0, 2.5, 1.0, 0.5, 3.0, 2.0, 4.5, 1.5, 2.5}));
+  model->Fit(train);
   std::string bytes;
   EXPECT_TRUE(serve::SerializeModel(*model, method, params, &bytes).ok());
   return bytes;
@@ -162,6 +165,24 @@ TEST(GoldenBytes, ModelEnvelope) {
             "5446424d010000001a0252e205000000000000004e6169766504000000000000"
             "00080000000000000000000000000000000b0000000000000000000000000000"
             "0001");
+}
+
+// A fitted KalmanFilter on a trending period-6 series: its envelope holds
+// the Nelder-Mead noise variances, so it pins every bit of the filter's
+// likelihood arithmetic, not just the TFBM layout.
+TEST(GoldenBytes, KalmanModelEnvelope) {
+  const double kSeason[6] = {0.0, 2.0, 3.0, 1.0, -1.0, -2.5};
+  std::vector<double> y;
+  for (int t = 0; t < 60; ++t) {
+    y.push_back(10.0 + 0.25 * t + kSeason[t % 6] + 0.1 * ((t * 7) % 5));
+  }
+  EXPECT_EQ(
+      Hex(ModelEnvelope("KalmanFilter", 6, ts::TimeSeries::Univariate(y))),
+            "5446424d01000000674fcb9e0c000000000000004b616c6d616e46696c746572"
+            "0400000000000000080000000000000006000000000000000b00000000000000"
+            "0000000000000000010100000000000000d308e8a89c77513dffe64422407143"
+            "390d9b449a82ace93ccabf60024d77b73f060000000000000002000000000000"
+            "00");
 }
 
 TEST(GoldenBytes, JournalLine) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -60,8 +62,44 @@ TEST(Registry, HyperSearchSpaceBounded) {
   EXPECT_LE(configs.size(), 8u);
   // First entry is the default configuration.
   EXPECT_EQ(configs[0].name, "NLinear");
+  // Theta reads no look-back: its space is the default config alone.
   const auto stat_configs = HyperSearchSpace("Theta", params, 8);
-  EXPECT_LE(stat_configs.size(), 8u);
+  ASSERT_EQ(stat_configs.size(), 1u);
+  EXPECT_EQ(stat_configs[0].name, "Theta");
+}
+
+// A look-back variant of a method that never reads `lookback` is the
+// default model again. Every method whose space carries no look-back
+// variant must forecast the same bytes at lookback 0 and 4h; otherwise the
+// search dropped a distinct candidate.
+TEST(Registry, SpacesWithoutLookbackVariantsIgnoreLookback) {
+  const ts::TimeSeries series = SmallSeasonal(240, 5);
+  MethodParams params;
+  params.horizon = 12;
+  std::size_t collapsed = 0;
+  for (const std::string& name : AllMethodNames()) {
+    const auto space = HyperSearchSpace(name, params, 8);
+    ASSERT_FALSE(space.empty()) << name;
+    const bool has_lookback_variant =
+        std::any_of(space.begin(), space.end(), [](const auto& config) {
+          return config.name.find("/L") != std::string::npos;
+        });
+    if (has_lookback_variant) continue;
+    ++collapsed;
+    auto forecast = [&](std::size_t lookback) {
+      MethodParams p = params;
+      p.lookback = lookback;
+      auto model = MakeMethod(name, p)->factory();
+      model->Fit(series);
+      return model->Forecast(series, params.horizon);
+    };
+    const linalg::Matrix a = forecast(0).values();
+    const linalg::Matrix b = forecast(4 * params.horizon).values();
+    ASSERT_EQ(a.size(), b.size()) << name;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << name;
+  }
+  EXPECT_EQ(collapsed, MethodNamesByParadigm(Paradigm::kStatistical).size());
 }
 
 TEST(Runner, ExecutesSingleTask) {
