@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
+#include "tfb/base/crc32.h"
 #include "tfb/pipeline/journal.h"
 #include "tfb/pipeline/method_registry.h"
 #include "tfb/pipeline/telemetry.h"
@@ -183,6 +185,36 @@ TEST(GoldenBytes, KalmanModelEnvelope) {
             "0000000000000000010100000000000000d308e8a89c77513dffe64422407143"
             "390d9b449a82ace93ccabf60024d77b73f060000000000000002000000000000"
             "00");
+}
+
+// A seasonal series rounded to steps of 0.5, so that its lag columns hold
+// long runs of tied values (and, after last-value subtraction, an all-zero
+// last lag).
+ts::TimeSeries QuantizedSeries() {
+  std::vector<double> y;
+  for (int t = 0; t < 96; ++t) {
+    y.push_back(0.5 * std::round(4.0 * std::sin(0.5 * t) + (t * 7) % 3));
+  }
+  return ts::TimeSeries::Univariate(y);
+}
+
+std::uint32_t Crc(const std::string& bytes) {
+  return base::Crc32(bytes.data(), bytes.size());
+}
+
+// Fitted tree ensembles: their envelopes hold every split threshold and leaf
+// mean, so they pin the CART split search bit for bit. The envelopes are too
+// large to spell out in hex; their length and CRC-32 stand in.
+TEST(GoldenBytes, RandomForestModelEnvelope) {
+  const std::string bytes = ModelEnvelope("RandomForest", 0, QuantizedSeries());
+  EXPECT_EQ(bytes.size(), 75209u);
+  EXPECT_EQ(Crc(bytes), 0xe1ff37e6u);
+}
+
+TEST(GoldenBytes, XgbModelEnvelope) {
+  const std::string bytes = ModelEnvelope("XGB", 0, QuantizedSeries());
+  EXPECT_EQ(bytes.size(), 49608u);
+  EXPECT_EQ(Crc(bytes), 0xfcd21f5eu);
 }
 
 TEST(GoldenBytes, JournalLine) {
