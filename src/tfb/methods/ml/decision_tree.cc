@@ -21,21 +21,94 @@ double MeanOf(const std::vector<double>& y,
 
 }  // namespace
 
-void DecisionTree::Fit(const linalg::Matrix& x, const std::vector<double>& y,
-                       const std::vector<std::size_t>& indices,
-                       const TreeOptions& options, stats::Rng* rng) {
-  TFB_CHECK(!indices.empty());
-  nodes_.clear();
-  nodes_.reserve(2 * indices.size() / options.min_samples_leaf + 1);
-  std::vector<std::size_t> work = indices;
-  Build(x, y, work, 0, work.size(), 0, options, rng);
+TreeWorkspace::TreeWorkspace(const linalg::Matrix& x)
+    : x_(x),
+      order_(x.cols() * x.rows()),
+      multiplicity_(x.rows(), 0),
+      goes_left_(x.rows(), 0) {
+  TFB_CHECK(x.rows() <= std::numeric_limits<std::uint32_t>::max());
+  const std::size_t n = x.rows();
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    std::uint32_t* order = order_.data() + f * n;
+    std::iota(order, order + n, 0u);
+    std::sort(order, order + n, [&](std::uint32_t a, std::uint32_t b) {
+      return x(a, f) < x(b, f);
+    });
+  }
 }
 
-std::int32_t DecisionTree::Build(const linalg::Matrix& x,
-                                 const std::vector<double>& y,
-                                 std::vector<std::size_t>& indices,
+void TreeWorkspace::Load(const std::vector<double>& y,
+                         const std::vector<std::size_t>& indices) {
+  const std::size_t n = x_.rows();
+  slots_ = indices.size();
+  rows_.assign(indices.begin(), indices.end());
+  columns_.resize(x_.cols() * slots_);
+  spill_.resize(slots_);
+  for (std::size_t row : indices) ++multiplicity_[row];
+  for (std::size_t f = 0; f < x_.cols(); ++f) {
+    Entry* column = columns_.data() + f * slots_;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t row = order_[f * n + i];
+      for (std::uint32_t c = multiplicity_[row]; c > 0; --c) {
+        column[k++] = {x_(row, f), y[row], row};
+      }
+    }
+    // Equal values (-0.0 and +0.0 included) sit in runs; a sort of
+    // (value, target) pairs orders each run by target.
+    for (std::size_t run = 0; run < slots_;) {
+      std::size_t stop = run + 1;
+      while (stop < slots_ && column[stop].value == column[run].value) ++stop;
+      if (stop - run > 1) {
+        std::sort(column + run, column + stop,
+                  [](const Entry& a, const Entry& b) {
+                    return a.target < b.target;
+                  });
+      }
+      run = stop;
+    }
+  }
+  for (std::size_t row : indices) multiplicity_[row] = 0;
+}
+
+void TreeWorkspace::Partition(std::size_t begin, std::size_t mid,
+                              std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) goes_left_[rows_[i]] = i < mid;
+  for (std::size_t f = 0; f < x_.cols(); ++f) {
+    Entry* column = columns_.data() + f * slots_;
+    std::size_t left = begin;
+    std::size_t right = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      // Branch-free: the side is a coin flip to the predictor.
+      const Entry entry = column[i];
+      const std::size_t to_left = goes_left_[entry.row];
+      column[left] = entry;
+      spill_[right] = entry;
+      left += to_left;
+      right += 1 - to_left;
+    }
+    std::copy(spill_.begin(), spill_.begin() + right, column + left);
+  }
+}
+
+void DecisionTree::Fit(const std::vector<double>& y,
+                       const std::vector<std::size_t>& indices,
+                       const TreeOptions& options, stats::Rng* rng,
+                       TreeWorkspace* workspace) {
+  TFB_CHECK(!indices.empty());
+  TFB_CHECK(y.size() == workspace->x().rows());
+  nodes_.clear();
+  nodes_.reserve(2 * indices.size() / options.min_samples_leaf + 1);
+  workspace->Load(y, indices);
+  Build(y, 0, indices.size(), 0, options, rng, workspace);
+}
+
+std::int32_t DecisionTree::Build(const std::vector<double>& y,
                                  std::size_t begin, std::size_t end, int depth,
-                                 const TreeOptions& options, stats::Rng* rng) {
+                                 const TreeOptions& options, stats::Rng* rng,
+                                 TreeWorkspace* workspace) {
+  const linalg::Matrix& x = workspace->x();
+  std::vector<std::size_t>& indices = workspace->rows_;
   const std::size_t count = end - begin;
   const std::int32_t node_id = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();
@@ -58,7 +131,8 @@ std::int32_t DecisionTree::Build(const linalg::Matrix& x,
   }
 
   // Best split by variance reduction (equivalently, maximizing the sum of
-  // child squared-sums).
+  // child squared-sums). The sums run over `indices` and over the sorted
+  // column segments in a fixed order, so the tree is bit-reproducible.
   double parent_sum = 0.0;
   for (std::size_t i = begin; i < end; ++i) parent_sum += y[indices[i]];
 
@@ -66,30 +140,25 @@ std::int32_t DecisionTree::Build(const linalg::Matrix& x,
   int best_feature = -1;
   double best_threshold = 0.0;
 
-  std::vector<std::pair<double, double>> sorted(count);  // (feature, target)
   for (std::size_t f : features) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t row = indices[begin + i];
-      sorted[i] = {x(row, f), y[row]};
-    }
-    std::sort(sorted.begin(), sorted.end());
+    const TreeWorkspace::Entry* sorted = workspace->Column(f) + begin;
     double left_sum = 0.0;
     for (std::size_t i = 0; i + 1 < count; ++i) {
-      left_sum += sorted[i].second;
+      left_sum += sorted[i].target;
       const std::size_t left_n = i + 1;
       const std::size_t right_n = count - left_n;
       if (left_n < options.min_samples_leaf ||
           right_n < options.min_samples_leaf) {
         continue;
       }
-      if (sorted[i].first >= sorted[i + 1].first - 1e-15) continue;
+      if (sorted[i].value >= sorted[i + 1].value - 1e-15) continue;
       const double right_sum = parent_sum - left_sum;
       const double score = left_sum * left_sum / left_n +
                            right_sum * right_sum / right_n;
       if (score > best_score) {
         best_score = score;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+        best_threshold = 0.5 * (sorted[i].value + sorted[i + 1].value);
       }
     }
   }
@@ -107,12 +176,20 @@ std::int32_t DecisionTree::Build(const linalg::Matrix& x,
   const std::size_t mid = static_cast<std::size_t>(mid_it - indices.begin());
   if (mid == begin || mid == end) return node_id;
 
+  // Only a child that searches for a split reads the sorted columns.
+  const auto searches = [&](std::size_t n) {
+    return depth + 1 < options.max_depth && n >= options.min_samples_split;
+  };
+  if (searches(mid - begin) || searches(end - mid)) {
+    workspace->Partition(begin, mid, end);
+  }
+
   nodes_[node_id].feature = best_feature;
   nodes_[node_id].threshold = best_threshold;
   const std::int32_t left =
-      Build(x, y, indices, begin, mid, depth + 1, options, rng);
+      Build(y, begin, mid, depth + 1, options, rng, workspace);
   const std::int32_t right =
-      Build(x, y, indices, mid, end, depth + 1, options, rng);
+      Build(y, mid, end, depth + 1, options, rng, workspace);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;

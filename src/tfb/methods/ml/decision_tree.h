@@ -20,19 +20,75 @@ struct TreeOptions {
   std::size_t max_features = 0;
 };
 
+/// The lag matrix of one ensemble fit with each column sorted once, plus
+/// the split-search buffers that every tree of the ensemble borrows in turn.
+///
+/// Sorting a column costs O(n log n); doing it at every node of every tree
+/// was most of an ensemble's fit time. With the order fixed here, each tree
+/// derives its own sorted columns in O(d n) and grows without sorting. The
+/// buffers live for the whole ensemble fit rather than one tree: allocating
+/// them per tree interleaves them with the node arrays that stay alive and
+/// fragments the heap. A workspace is not shared between threads; each
+/// ensemble fit owns one.
+class TreeWorkspace {
+ public:
+  /// Sorts every column of `x`, which must outlive the workspace.
+  explicit TreeWorkspace(const linalg::Matrix& x);
+
+  const linalg::Matrix& x() const { return x_; }
+
+ private:
+  friend class DecisionTree;
+
+  /// One sample slot of a column: a row of `indices` with its feature value
+  /// and target.
+  struct Entry {
+    double value;
+    double target;
+    std::uint32_t row;
+  };
+
+  /// Lays out, for every column, the slots of `indices` in ascending
+  /// (value, target) order: the order a sort of those pairs would give.
+  void Load(const std::vector<double>& y,
+            const std::vector<std::size_t>& indices);
+
+  /// Splits slots [begin, end) of every column into the rows of
+  /// rows_[begin, mid) followed by those of rows_[mid, end), keeping each
+  /// side's order.
+  void Partition(std::size_t begin, std::size_t mid, std::size_t end);
+
+  const Entry* Column(std::size_t f) const {
+    return columns_.data() + f * slots_;
+  }
+
+  const linalg::Matrix& x_;
+  std::vector<std::uint32_t> order_;         // cols x rows, ascending value
+  std::vector<std::size_t> rows_;            // the tree's `indices`, split
+  std::vector<Entry> columns_;               // cols x slots_
+  std::vector<Entry> spill_;                 // right side during Partition
+  std::vector<std::uint32_t> multiplicity_;  // per row, during Load
+  std::vector<unsigned char> goes_left_;     // per row, during Partition
+  std::size_t slots_ = 0;
+};
+
 /// CART regression tree fit by variance reduction: the shared weak learner
 /// under both RandomForest (bagged, feature-subsampled) and the
-/// XGBoost-style gradient booster. Stored as a flat node array for cache-
+/// XGBoost-style gradient booster. Split search scans presorted columns
+/// (XGBoost's exact greedy method): the ensemble sorts each lag column once
+/// in a TreeWorkspace, and a split stable-partitions every column's segment
+/// instead of sorting it again. Stored as a flat node array for cache-
 /// friendly prediction.
 class DecisionTree {
  public:
   DecisionTree() = default;
 
-  /// Fits on rows `indices` of (x, y). `y` is a single output column.
-  /// `rng` drives feature subsampling (unused when max_features == 0).
-  void Fit(const linalg::Matrix& x, const std::vector<double>& y,
+  /// Fits on rows `indices` (repeats allowed) of the workspace's matrix.
+  /// `y` is a single output column. `rng` drives feature subsampling
+  /// (unused when max_features == 0).
+  void Fit(const std::vector<double>& y,
            const std::vector<std::size_t>& indices, const TreeOptions& options,
-           stats::Rng* rng);
+           stats::Rng* rng, TreeWorkspace* workspace);
 
   /// Predicts one feature row.
   double Predict(const double* features) const;
@@ -55,10 +111,9 @@ class DecisionTree {
     std::int32_t right = -1;
   };
 
-  std::int32_t Build(const linalg::Matrix& x, const std::vector<double>& y,
-                     std::vector<std::size_t>& indices, std::size_t begin,
+  std::int32_t Build(const std::vector<double>& y, std::size_t begin,
                      std::size_t end, int depth, const TreeOptions& options,
-                     stats::Rng* rng);
+                     stats::Rng* rng, TreeWorkspace* workspace);
 
   std::vector<Node> nodes_;
 };

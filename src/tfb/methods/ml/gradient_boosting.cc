@@ -29,6 +29,7 @@ void GradientBoostingForecaster::Fit(const ts::TimeSeries& train) {
   trees_.reserve(options_.num_rounds);
   const std::size_t sample = std::max<std::size_t>(
       2, static_cast<std::size_t>(options_.subsample * n));
+  TreeWorkspace workspace(data.x);
   for (int round = 0; round < options_.num_rounds; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
       residuals[i] = targets[i] - predictions[i];
@@ -42,7 +43,7 @@ void GradientBoostingForecaster::Fit(const ts::TimeSeries& train) {
       indices.assign(perm.begin(), perm.begin() + sample);
     }
     DecisionTree tree;
-    tree.Fit(data.x, residuals, indices, options_.tree, &rng);
+    tree.Fit(residuals, indices, options_.tree, &rng, &workspace);
     for (std::size_t i = 0; i < n; ++i) {
       predictions[i] +=
           options_.learning_rate * tree.Predict(data.x.row(i));

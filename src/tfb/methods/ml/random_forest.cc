@@ -30,10 +30,11 @@ void RandomForestForecaster::Fit(const ts::TimeSeries& train) {
   const std::size_t sample =
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    options_.bootstrap_fraction * n));
+  TreeWorkspace workspace(data.x);
+  std::vector<std::size_t> indices(sample);
   for (auto& tree : trees_) {
-    std::vector<std::size_t> indices(sample);
     for (std::size_t i = 0; i < sample; ++i) indices[i] = rng.UniformInt(n);
-    tree.Fit(data.x, targets, indices, tree_options, &rng);
+    tree.Fit(targets, indices, tree_options, &rng, &workspace);
   }
 }
 

@@ -88,7 +88,8 @@ TEST(DecisionTree, FitsStepFunction) {
   DecisionTree tree;
   TreeOptions options;
   options.max_depth = 3;
-  tree.Fit(x, y, indices, options, nullptr);
+  TreeWorkspace workspace(x);
+  tree.Fit(y, indices, options, nullptr, &workspace);
   double features_hi[2] = {0.9, 0.5};
   double features_lo[2] = {0.1, 0.5};
   EXPECT_NEAR(tree.Predict(features_hi), 1.0, 0.05);
@@ -111,7 +112,8 @@ TEST(DecisionTree, RespectsMinLeafSize) {
   options.max_depth = 10;
   options.min_samples_leaf = 10;
   options.min_samples_split = 20;
-  tree.Fit(x, y, indices, options, nullptr);
+  TreeWorkspace workspace(x);
+  tree.Fit(y, indices, options, nullptr, &workspace);
   EXPECT_LE(tree.num_nodes(), 3u);
 }
 
