@@ -86,15 +86,26 @@ TaskOutcome EvaluateCandidates(
     const obs::ScopedSpan span("hyper_select", "runner", TaskArgs(task));
     const ts::Split split = ChronologicalSplit(task.series, task.rolling.split);
     const ts::TimeSeries train_val = task.series.Slice(0, split.val_end);
+    const ts::SplitRatio val_split = ValidationSplit(task.rolling.split);
+    // Validation runs RollingForecastEvaluate on train_val; this is its
+    // "test region shorter than the horizon" check, made up front because
+    // it would fail every candidate alike.
+    const std::size_t val_start =
+        ChronologicalSplit(train_val, val_split).val_end;
     if (train_val.length() < task.horizon + 16) {
       // Previously a silent `break` that selected config 0 without
       // evaluating anything; now surfaced on the row.
       out.note =
           "hyper selection skipped: validation region too short, "
           "using default config";
+    } else if (val_start + task.horizon > train_val.length()) {
+      out.note = "hyper selection skipped: validation region of " +
+                 std::to_string(train_val.length() - val_start) +
+                 " points is shorter than the horizon of " +
+                 std::to_string(task.horizon) + ", using default config";
     } else {
       eval::RollingOptions val_options = task.rolling;
-      val_options.split = ValidationSplit(task.rolling.split);
+      val_options.split = val_split;
       val_options.max_windows = options.hyper_val_windows;
       val_options.drop_last = false;
       const eval::Metric selection_metric = val_options.metrics.empty()

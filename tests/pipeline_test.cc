@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <sstream>
 
 #include "tfb/datagen/registry.h"
+#include "tfb/methods/naive.h"
 #include "tfb/pipeline/method_registry.h"
 #include "tfb/pipeline/runner.h"
 #include "tfb/report/report.h"
@@ -163,6 +165,32 @@ TEST(Runner, HyperSearchSelectsConfig) {
   const ResultRow row = runner.RunOne(task);
   ASSERT_TRUE(row.ok) << row.error;
   EXPECT_FALSE(row.selected_config.empty());
+}
+
+// An hourly-shaped cell: with the default 7:1:2 split, 240 points leave a
+// validation region of 24 points, shorter than the horizon of 48. No
+// candidate can be validated, so none is, and the note says why.
+TEST(Runner, HyperSearchSkipsValidationRegionShorterThanHorizon) {
+  BenchmarkTask task;
+  task.dataset = "synthetic";
+  task.series = SmallSeasonal(240, 5);
+  task.method = "TwoConfigs";
+  task.horizon = 48;
+  auto built = std::make_shared<std::atomic<int>>(0);
+  for (const char* name : {"a", "b"}) {
+    task.custom_candidates.push_back({name, [built] {
+      ++*built;
+      return std::make_unique<methods::NaiveForecaster>();
+    }});
+  }
+  const ResultRow row = BenchmarkRunner().RunOne(task);
+  ASSERT_TRUE(row.ok) << row.error;
+  EXPECT_EQ(row.selected_config, "a");
+  EXPECT_EQ(row.note,
+            "hyper selection skipped: validation region of 24 points is "
+            "shorter than the horizon of 48, using default config");
+  // Only the final evaluation of the default config built a model.
+  EXPECT_EQ(built->load(), 1);
 }
 
 TEST(Report, PrintTableAndPivot) {
