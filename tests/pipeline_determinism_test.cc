@@ -46,10 +46,13 @@ ts::TimeSeries SmallSeasonal(std::size_t n, std::uint64_t seed) {
   return s;
 }
 
+// Baselines plus the ML paradigm. The tree ensembles carry per-fit split
+// search buffers, so every mode below also checks that those leak no state
+// across threads, processes or transports.
 std::vector<BenchmarkTask> SmallGrid() {
   std::vector<BenchmarkTask> tasks;
-  for (const char* method :
-       {"Naive", "SeasonalNaive", "Drift", "Mean", "LinearRegression"}) {
+  for (const char* method : {"Naive", "SeasonalNaive", "Drift", "Mean",
+                             "LinearRegression", "RandomForest", "XGB"}) {
     for (const std::size_t horizon : {std::size_t{6}, std::size_t{12}}) {
       BenchmarkTask task;
       task.dataset = "synthetic";
