@@ -168,6 +168,19 @@ linalg::Matrix RandomLagMatrix(stats::Rng* rng, bool quantized,
       .x;
 }
 
+// Appends a copy of column `c`. Twin columns score every split identically
+// when their runs are summed in the same order, so the first one must win;
+// any change in the order of a run's targets, even one that only moves the
+// rounding of a sum, can hand the split to the twin.
+linalg::Matrix WithTwinColumn(const linalg::Matrix& x, std::size_t c) {
+  linalg::Matrix out(x.rows(), x.cols() + 1);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t j = 0; j < x.cols(); ++j) out(r, j) = x(r, j);
+    out(r, x.cols()) = x(r, c);
+  }
+  return out;
+}
+
 // Sprinkles -0.0 over zero cells, so that both zero signs meet in one run.
 void FlipZeroSigns(linalg::Matrix* x, stats::Rng* rng) {
   for (std::size_t r = 0; r < x->rows(); ++r) {
@@ -234,6 +247,9 @@ TEST(DecisionTreeOracle, PresortedSplitSearchMatchesPerNodeSort) {
   for (int matrix = 0; matrix < 150; ++matrix) {
     linalg::Matrix x = RandomLagMatrix(&inputs, inputs.Bernoulli(0.6),
                                        inputs.Bernoulli(0.7));
+    if (inputs.Bernoulli(0.5)) {
+      x = WithTwinColumn(x, inputs.UniformInt(x.cols()));
+    }
     if (inputs.Bernoulli(0.5)) FlipZeroSigns(&x, &inputs);
     // One workspace serves several trees, as in an ensemble fit, with new
     // targets per tree as in boosting.
@@ -259,7 +275,7 @@ TEST(DecisionTreeOracle, PresortedSplitSearchMatchesPerNodeSort) {
   }
   EXPECT_EQ(trees, 1200);
   // The trees must actually branch, or equal bytes would prove little.
-  EXPECT_GT(splits, 5 * trees);
+  EXPECT_GT(splits, 4 * trees);
 }
 
 }  // namespace
