@@ -96,7 +96,7 @@ void DecisionTree::Fit(const std::vector<double>& y,
                        const TreeOptions& options, stats::Rng* rng,
                        TreeWorkspace* workspace) {
   TFB_CHECK(!indices.empty());
-  TFB_CHECK(y.size() == workspace->x().rows());
+  TFB_CHECK(y.size() == workspace->x_.rows());
   nodes_.clear();
   nodes_.reserve(2 * indices.size() / options.min_samples_leaf + 1);
   workspace->Load(y, indices);
@@ -107,7 +107,7 @@ std::int32_t DecisionTree::Build(const std::vector<double>& y,
                                  std::size_t begin, std::size_t end, int depth,
                                  const TreeOptions& options, stats::Rng* rng,
                                  TreeWorkspace* workspace) {
-  const linalg::Matrix& x = workspace->x();
+  const linalg::Matrix& x = workspace->x_;
   std::vector<std::size_t>& indices = workspace->rows_;
   const std::size_t count = end - begin;
   const std::int32_t node_id = static_cast<std::int32_t>(nodes_.size());

@@ -35,8 +35,6 @@ class TreeWorkspace {
   /// Sorts every column of `x`, which must outlive the workspace.
   explicit TreeWorkspace(const linalg::Matrix& x);
 
-  const linalg::Matrix& x() const { return x_; }
-
  private:
   friend class DecisionTree;
 
