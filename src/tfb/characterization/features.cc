@@ -7,7 +7,6 @@
 
 #include "tfb/base/check.h"
 #include "tfb/characterization/adf.h"
-#include "tfb/characterization/catch22.h"
 #include "tfb/fft/fft.h"
 #include "tfb/obs/metrics.h"
 #include "tfb/parallel/thread_pool.h"
@@ -146,27 +145,6 @@ double CorrelationValue(const ts::TimeSeries& series,
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       pairwise.push_back(stats::PearsonCorrelation(columns[i], columns[j]));
-    }
-  }
-  const double mean = stats::Mean(pairwise);
-  const double var = stats::Variance(pairwise);
-  return mean + 1.0 / (1.0 + var);
-}
-
-double Catch22Correlation(const ts::TimeSeries& series,
-                          std::size_t max_variables) {
-  const std::size_t n = std::min(series.num_variables(), max_variables);
-  if (n < 2) return 0.0;
-  std::vector<std::array<double, kNumCatch22Features>> embeddings(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    embeddings[v] = Catch22(series.Column(v));
-  }
-  std::vector<double> pairwise;
-  pairwise.reserve(n * (n - 1) / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      pairwise.push_back(
-          stats::PearsonCorrelation(embeddings[i], embeddings[j]));
     }
   }
   const double mean = stats::Mean(pairwise);

@@ -33,16 +33,11 @@ double TransitionValue(std::span<const double> x);
 /// formula mean(P) + 1/(1+var(P)) over all variable pairs. P here is the
 /// Pearson correlation between the variables' value series: on synthetic
 /// data with homogeneous channels, the paper's catch22-embedding Pearson
-/// (available below) saturates near its maximum regardless of actual
-/// dependence, while value-level correlation tracks it faithfully (see
-/// DESIGN.md). Returns 0 for univariate input.
+/// saturates near its maximum regardless of actual dependence, while
+/// value-level correlation tracks it faithfully (see DESIGN.md). Returns 0
+/// for univariate input.
 double CorrelationValue(const ts::TimeSeries& series,
                         std::size_t max_variables = 64);
-
-/// Definition 8 exactly as printed: Pearson between per-variable catch22
-/// embeddings, aggregated with mean(P) + 1/(1+var(P)).
-double Catch22Correlation(const ts::TimeSeries& series,
-                          std::size_t max_variables = 64);
 
 /// Both STL-based strengths from one decomposition (cheaper than calling
 /// TrendStrength and SeasonalityStrength separately).

@@ -239,11 +239,6 @@ void ProgressTracker::SetServeStats(const ServeStats& stats) {
   serve_stats_ = stats;
 }
 
-ServeStats ProgressTracker::GetServeStats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return serve_stats_;
-}
-
 void ProgressTracker::RenderLocked() {
   if (mode_ != ProgressMode::kBar && mode_ != ProgressMode::kPlain) return;
   const auto now = Clock::now();

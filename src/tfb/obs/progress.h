@@ -172,7 +172,6 @@ class ProgressTracker {
   /// Publishes serving-plane state; StatusJson then carries a "serve"
   /// object. Same lifecycle as SetShardStats.
   void SetServeStats(const ServeStats& stats);
-  ServeStats GetServeStats() const;
 
   /// The /status payload: one JSON object with the snapshot fields, the
   /// per-method tallies, and `run_id`.

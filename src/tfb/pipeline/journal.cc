@@ -12,6 +12,8 @@
 
 #include "tfb/base/io.h"
 #include "tfb/base/json.h"
+#include "tfb/obs/log.h"
+#include "tfb/obs/metrics.h"
 #include "tfb/pipeline/config.h"
 
 namespace tfb::pipeline {
@@ -192,19 +194,23 @@ std::vector<ResultRow> LoadJournal(const std::string& path,
   return rows;
 }
 
-std::string JournalKey(const std::string& dataset, const std::string& method,
-                       std::size_t horizon) {
-  return dataset + '\x1f' + method + '\x1f' + std::to_string(horizon);
+namespace {
+
+// The resume identity of a task or row: "dataset\x1fmethod\x1fhorizon".
+template <typename Cell>
+std::string JournalKey(const Cell& cell) {
+  return cell.dataset + '\x1f' + cell.method + '\x1f' +
+         std::to_string(cell.horizon);
 }
+
+}  // namespace
 
 std::vector<ResultRow> DedupJournalRows(std::vector<ResultRow> rows) {
   std::vector<ResultRow> out;
   out.reserve(rows.size());
   std::unordered_set<std::string> seen;
   for (ResultRow& row : rows) {
-    if (seen.insert(JournalKey(row.dataset, row.method, row.horizon)).second) {
-      out.push_back(std::move(row));
-    }
+    if (seen.insert(JournalKey(row)).second) out.push_back(std::move(row));
   }
   return out;
 }
@@ -221,6 +227,76 @@ std::vector<ResultRow> LoadJournalSegments(
                 std::make_move_iterator(segment.end()));
   }
   return DedupJournalRows(std::move(rows));
+}
+
+JournalIndex JournalIndex::Load(const std::string& journal_path,
+                               const std::vector<std::string>& segment_paths,
+                               std::size_t* skipped) {
+  JournalIndex index;
+  index.journal_path_ = journal_path;
+  std::size_t journal_skipped = 0;
+  if (!journal_path.empty()) {
+    for (ResultRow& row : LoadJournal(journal_path, &journal_skipped)) {
+      index.Supersede(std::move(row));
+    }
+  }
+  std::size_t segment_skipped = 0;
+  for (ResultRow& row : LoadJournalSegments(segment_paths, &segment_skipped)) {
+    index.Supersede(std::move(row));
+  }
+  if (skipped != nullptr) *skipped = journal_skipped + segment_skipped;
+  return index;
+}
+
+void JournalIndex::Supersede(ResultRow row) {
+  const auto [it, inserted] = slot_.emplace(JournalKey(row), rows_.size());
+  if (inserted) {
+    rows_.push_back(std::move(row));
+  } else {
+    rows_[it->second] = std::move(row);
+  }
+}
+
+const ResultRow* JournalIndex::Find(const BenchmarkTask& task) const {
+  const auto it = slot_.find(JournalKey(task));
+  return it != slot_.end() ? &rows_[it->second] : nullptr;
+}
+
+std::size_t JournalIndex::Adopt(const std::vector<BenchmarkTask>& tasks,
+                                bool verbose, std::vector<ResultRow>* rows,
+                                std::vector<bool>* adopted) const {
+  std::size_t resumed = 0;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (const ResultRow* row = Find(tasks[i])) {
+      (*rows)[i] = *row;
+      (*adopted)[i] = true;
+      ++resumed;
+    }
+  }
+  obs::DefaultLogger().Log(
+      verbose ? obs::LogLevel::kInfo : obs::LogLevel::kDebug,
+      "resume: adopted journaled rows",
+      {{"loaded", std::to_string(resumed)},
+       {"total", std::to_string(tasks.size())},
+       {"journal", journal_path_}});
+  if (obs::Enabled() && resumed > 0) {
+    obs::DefaultRegistry()
+        .GetCounter("tfb_tasks_resumed_total")
+        .Increment(static_cast<double>(resumed));
+  }
+  return resumed;
+}
+
+std::vector<ResultRow> JournalIndex::OutsideGrid(
+    const std::vector<BenchmarkTask>& tasks) const {
+  std::unordered_set<std::string> grid_keys;
+  grid_keys.reserve(tasks.size());
+  for (const BenchmarkTask& task : tasks) grid_keys.insert(JournalKey(task));
+  std::vector<ResultRow> out;
+  for (const ResultRow& row : rows_) {
+    if (grid_keys.count(JournalKey(row)) == 0) out.push_back(row);
+  }
+  return out;
 }
 
 bool RewriteJournal(const std::string& path,

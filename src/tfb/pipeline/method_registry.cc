@@ -67,29 +67,6 @@ methods::NeuralOptions NeuralFrom(const MethodParams& p) {
 
 }  // namespace
 
-std::string ParadigmName(Paradigm p) {
-  switch (p) {
-    case Paradigm::kStatistical: return "statistical";
-    case Paradigm::kMachineLearning: return "machine-learning";
-    case Paradigm::kDeepLearning: return "deep-learning";
-  }
-  return "unknown";
-}
-
-std::string FamilyName(Family f) {
-  switch (f) {
-    case Family::kStatistical: return "statistical";
-    case Family::kMl: return "ml";
-    case Family::kLinear: return "linear";
-    case Family::kMlp: return "mlp";
-    case Family::kRnn: return "rnn";
-    case Family::kCnn: return "cnn";
-    case Family::kTransformer: return "transformer";
-    case Family::kFrequency: return "frequency";
-  }
-  return "unknown";
-}
-
 const std::vector<std::string>& AllMethodNames() {
   static const std::vector<std::string>& names = *[] {
     auto* v = new std::vector<std::string>();

@@ -17,9 +17,6 @@ enum class Paradigm {
   kDeepLearning,
 };
 
-/// Human-readable paradigm label.
-std::string ParadigmName(Paradigm p);
-
 /// Architectural family of a deep method (Figures 9/11 group by family).
 enum class Family {
   kStatistical,
@@ -31,9 +28,6 @@ enum class Family {
   kTransformer,
   kFrequency,
 };
-
-/// Human-readable family label.
-std::string FamilyName(Family f);
 
 /// Knobs every method construction accepts; maps 1:1 to the per-run
 /// configuration file of the reference pipeline.

@@ -11,7 +11,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "tfb/base/check.h"
 #include "tfb/base/status.h"
@@ -653,36 +652,14 @@ std::vector<ResultRow> BenchmarkRunner::Run(
 
   // Resume: adopt journaled rows (success or failure — both are finished
   // outcomes) and only execute the cells the journal does not cover.
+  std::vector<bool> adopted(tasks.size(), false);
   std::size_t resumed = 0;
   if (options_.resume && !options_.journal_path.empty()) {
-    std::unordered_map<std::string, ResultRow> journaled;
-    for (ResultRow& row : LoadJournal(options_.journal_path)) {
-      journaled[JournalKey(row.dataset, row.method, row.horizon)] =
-          std::move(row);
-    }
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const auto it = journaled.find(
-          JournalKey(tasks[i].dataset, tasks[i].method, tasks[i].horizon));
-      if (it != journaled.end()) {
-        rows[i] = it->second;
-        ++resumed;
-      } else {
-        pending.push_back(i);
-      }
-    }
-    obs::DefaultLogger().Log(
-        options_.verbose ? obs::LogLevel::kInfo : obs::LogLevel::kDebug,
-        "resume: adopted journaled rows",
-        {{"loaded", std::to_string(resumed)},
-         {"total", std::to_string(tasks.size())},
-         {"journal", options_.journal_path}});
-    if (observed && resumed > 0) {
-      obs::DefaultRegistry()
-          .GetCounter("tfb_tasks_resumed_total")
-          .Increment(static_cast<double>(resumed));
-    }
-  } else {
-    for (std::size_t i = 0; i < tasks.size(); ++i) pending.push_back(i);
+    resumed = JournalIndex::Load(options_.journal_path)
+                  .Adopt(tasks, options_.verbose, &rows, &adopted);
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (!adopted[i]) pending.push_back(i);
   }
 
   // The progress tracker is always fed (it backs the HTTP /status payload

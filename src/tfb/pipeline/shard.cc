@@ -20,8 +20,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -45,8 +43,8 @@ using Clock = std::chrono::steady_clock;
 // ---------------------------------------------------------------------------
 // Shutdown self-pipe. Signal handlers may only write() one byte — the
 // coordinator's poll loop turns queued bytes into drain (1) or hard kill
-// (2+). The pipe is process-lifetime: installed on first use, shared by
-// RequestShardShutdown and the SIGINT/SIGTERM handlers.
+// (2+). The pipe is process-lifetime: the first sharded run opens it
+// before installing the SIGINT/SIGTERM handlers.
 
 std::atomic<int> g_shutdown_wfd{-1};
 int g_shutdown_rfd = -1;
@@ -133,11 +131,6 @@ constexpr std::pair<const char*, std::size_t ShardRunStats::*> kMirrored[] = {
 
 }  // namespace
 
-void RequestShardShutdown() {
-  EnsureShutdownPipe();
-  TfbShardShutdownHandler(0);
-}
-
 bool ShardCoordinator::BindListener(std::string* error) {
   if (shard_options_.transport != ShardTransport::kTcp) return true;
   if (listener_ != nullptr) return true;
@@ -157,7 +150,6 @@ std::vector<ResultRow> ShardCoordinator::Run(
   stats_ = ShardRunStats{};
   const std::size_t total = tasks.size();
   std::vector<ResultRow> rows(total);
-  std::vector<bool> journaled(total, false);  // Rows the journal keeps.
   const bool observed = obs::Enabled();
   obs::Registry& registry = obs::DefaultRegistry();
   obs::ProgressTracker& tracker = obs::DefaultProgressTracker();
@@ -195,58 +187,40 @@ std::vector<ResultRow> ShardCoordinator::Run(
 
   // --- Resume: adopt journaled rows, scavenging leftover segments of a
   // crashed previous run into the journal first (crash-safe recovery) ---
-  std::vector<ResultRow> prior_rows;
   const std::vector<std::string> leftover = ExistingSegments(segment_base);
-  if (!journal_path.empty() && runner_options_.resume) {
-    std::vector<std::string> paths;
-    paths.reserve(leftover.size() + 1);
-    paths.push_back(journal_path);
-    paths.insert(paths.end(), leftover.begin(), leftover.end());
-    prior_rows = LoadJournalSegments(paths);
-    if (!leftover.empty()) {
-      stats_.scavenged_segments = leftover.size();
-      obs::DefaultLogger().Info(
-          "shard resume: scavenged leftover segments",
-          {{"segments", std::to_string(leftover.size())},
-           {"rows", std::to_string(prior_rows.size())}});
-      // Fold segment-only rows into the journal before unlinking anything,
-      // so a crash right here still loses no completed work.
-      if (RewriteJournal(journal_path, prior_rows,
-                         runner_options_.journal_fsync)) {
-        for (const std::string& p : leftover) unlink(p.c_str());
-      }
-    }
-  } else {
+  const bool resume = runner_options_.resume && !journal_path.empty();
+  if (!resume) {
     // Not resuming: stale segments are garbage from an abandoned run, and
     // pre-existing journal rows keep their place (append semantics) without
     // exempting any task from execution.
     for (const std::string& p : leftover) unlink(p.c_str());
-    if (!journal_path.empty()) prior_rows = LoadJournal(journal_path);
+  }
+  const JournalIndex prior = JournalIndex::Load(
+      journal_path, resume ? leftover : std::vector<std::string>{});
+  if (resume && !leftover.empty()) {
+    stats_.scavenged_segments = leftover.size();
+    obs::DefaultLogger().Info(
+        "shard resume: scavenged leftover segments",
+        {{"segments", std::to_string(leftover.size())},
+         {"rows", std::to_string(prior.rows().size())}});
+    // Fold segment rows into the journal before unlinking anything, so a
+    // crash right here still loses no completed work.
+    if (RewriteJournal(journal_path, prior.rows(),
+                       runner_options_.journal_fsync)) {
+      for (const std::string& p : leftover) unlink(p.c_str());
+    }
   }
 
-  std::unordered_map<std::string, std::size_t> prior_by_key;
-  for (std::size_t i = 0; i < prior_rows.size(); ++i) {
-    prior_by_key.emplace(JournalKey(prior_rows[i].dataset,
-                                    prior_rows[i].method,
-                                    prior_rows[i].horizon),
-                         i);
-  }
+  std::vector<bool> journaled(total, false);  // Rows the journal keeps.
+  const std::size_t resumed =
+      resume ? prior.Adopt(tasks, runner_options_.verbose, &rows, &journaled)
+             : 0;
   std::vector<std::size_t> pending;
   pending.reserve(total);
   std::vector<std::size_t> unmarshallable;
-  std::size_t resumed = 0;
   for (std::size_t slot = 0; slot < total; ++slot) {
-    const auto it =
-        runner_options_.resume
-            ? prior_by_key.find(JournalKey(tasks[slot].dataset,
-                                           tasks[slot].method,
-                                           tasks[slot].horizon))
-            : prior_by_key.end();
-    if (it != prior_by_key.end()) {
-      rows[slot] = prior_rows[it->second];
-      journaled[slot] = true;
-      ++resumed;
-    } else if (tcp && !TaskIsMarshallable(tasks[slot])) {
+    if (journaled[slot]) continue;
+    if (tcp && !TaskIsMarshallable(tasks[slot])) {
       // A task built around in-memory factories cannot cross the wire;
       // reject it up front (not journaled — a socketpair resume can still
       // execute it) instead of corrupting dispatch.
@@ -259,10 +233,6 @@ std::vector<ResultRow> ShardCoordinator::Run(
     } else {
       pending.push_back(slot);
     }
-  }
-  if (observed && resumed > 0) {
-    registry.GetCounter("tfb_tasks_resumed_total")
-        .Increment(static_cast<double>(resumed));
   }
 
   tracker.SetDisplay(runner_options_.progress);
@@ -531,20 +501,11 @@ std::vector<ResultRow> ShardCoordinator::Run(
   // --- Merge: segments -> rows -> journal, atomically ---
   const std::vector<std::string> all_segments = core.segments();
   std::size_t torn = 0;
-  const std::vector<ResultRow> segment_rows =
-      LoadJournalSegments(all_segments, &torn);
-  std::unordered_map<std::string, std::size_t> segment_by_key;
-  for (std::size_t i = 0; i < segment_rows.size(); ++i) {
-    segment_by_key.emplace(JournalKey(segment_rows[i].dataset,
-                                      segment_rows[i].method,
-                                      segment_rows[i].horizon),
-                           i);
-  }
+  const JournalIndex completed =
+      JournalIndex::Load(/*journal_path=*/"", all_segments, &torn);
   for (const std::size_t slot : pending) {
-    const auto it = segment_by_key.find(JournalKey(
-        tasks[slot].dataset, tasks[slot].method, tasks[slot].horizon));
-    if (it != segment_by_key.end()) {
-      rows[slot] = segment_rows[it->second];
+    if (const ResultRow* row = completed.Find(tasks[slot])) {
+      rows[slot] = *row;
       journaled[slot] = true;
     } else {
       // Never completed by any worker: an interrupted or starved task.
@@ -560,23 +521,14 @@ std::vector<ResultRow> ShardCoordinator::Run(
   if (!journal_path.empty()) {
     // Canonical journal order: every finished grid row in task order —
     // byte-identical to a fresh single-process run's journal — followed by
-    // prior rows whose keys are outside this grid (kept verbatim). Rows a
-    // non-resume run re-executed supersede their journaled predecessors.
-    std::unordered_set<std::string> grid_keys;
-    grid_keys.reserve(total);
-    for (const BenchmarkTask& task : tasks) {
-      grid_keys.insert(JournalKey(task.dataset, task.method, task.horizon));
-    }
+    // the prior rows whose keys are outside this grid. Rows a non-resume
+    // run re-executed supersede their journaled predecessors.
     std::vector<ResultRow> final_rows;
-    final_rows.reserve(prior_rows.size() + total);
     for (std::size_t slot = 0; slot < total; ++slot) {
       if (journaled[slot]) final_rows.push_back(rows[slot]);
     }
-    for (const ResultRow& row : prior_rows) {
-      if (grid_keys.count(JournalKey(row.dataset, row.method,
-                                     row.horizon)) == 0) {
-        final_rows.push_back(row);
-      }
+    for (ResultRow& row : prior.OutsideGrid(tasks)) {
+      final_rows.push_back(std::move(row));
     }
     if (!RewriteJournal(journal_path, final_rows,
                         runner_options_.journal_fsync)) {

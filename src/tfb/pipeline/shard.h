@@ -163,12 +163,6 @@ class ShardCoordinator {
   std::unique_ptr<TcpListener> listener_;
 };
 
-/// Asks the active sharded run to shut down, exactly as one delivery of
-/// SIGINT/SIGTERM would: the first request drains (in-flight shards finish,
-/// journal merges), a second one kills workers immediately. Safe from any
-/// thread; the test-visible face of the signal path.
-void RequestShardShutdown();
-
 }  // namespace tfb::pipeline
 
 #endif  // TFB_PIPELINE_SHARD_H_

@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "tfb/base/status.h"
-#include "tfb/obs/log.h"
 
 namespace tfb::report {
 
@@ -296,22 +295,6 @@ std::map<std::string, std::size_t> CountWins(
     if (!best_method.empty()) ++wins[best_method];
   }
   return wins;
-}
-
-void Logger::Log(Level level, const std::string& message) const {
-  if (level < min_level_) return;
-  // Delegates to the structured logger (tfb/obs/log.h) so report-layer
-  // lines share the pipeline's sinks, timestamps, and --log-level filter;
-  // this wrapper's own min_level_ is kept as a coarse pre-filter for
-  // existing callers.
-  obs::LogLevel obs_level = obs::LogLevel::kInfo;
-  switch (level) {
-    case Level::kDebug: obs_level = obs::LogLevel::kDebug; break;
-    case Level::kInfo: obs_level = obs::LogLevel::kInfo; break;
-    case Level::kWarning: obs_level = obs::LogLevel::kWarn; break;
-    case Level::kError: obs_level = obs::LogLevel::kError; break;
-  }
-  obs::DefaultLogger().Log(obs_level, message);
 }
 
 }  // namespace tfb::report

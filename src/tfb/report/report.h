@@ -50,23 +50,6 @@ bool WriteCsv(const std::string& path,
 std::map<std::string, std::size_t> CountWins(
     const std::vector<pipeline::ResultRow>& rows, eval::Metric metric);
 
-/// Minimal leveled logger for the reporting layer; writes to stderr.
-class Logger {
- public:
-  enum class Level { kDebug, kInfo, kWarning, kError };
-
-  explicit Logger(Level min_level = Level::kInfo) : min_level_(min_level) {}
-
-  void Log(Level level, const std::string& message) const;
-  void Info(const std::string& message) const { Log(Level::kInfo, message); }
-  void Warning(const std::string& message) const {
-    Log(Level::kWarning, message);
-  }
-
- private:
-  Level min_level_;
-};
-
 }  // namespace tfb::report
 
 #endif  // TFB_REPORT_REPORT_H_

@@ -118,10 +118,6 @@ std::string GenerateRequestId() {
   return buf;
 }
 
-double MsSince(Clock::time_point begin, Clock::time_point end) {
-  return std::chrono::duration<double, std::milli>(end - begin).count();
-}
-
 }  // namespace
 
 /// Per-request stage breakdown, all in seconds. Stages tile the request's

@@ -56,22 +56,4 @@ TimeSeries Scaler::InverseTransform(const TimeSeries& series) const {
   return out;
 }
 
-std::vector<double> Scaler::TransformColumn(const std::vector<double>& x,
-                                            std::size_t var) const {
-  std::vector<double> out = x;
-  if (kind_ == ScalerKind::kNone) return out;
-  TFB_CHECK(var < offset_.size());
-  for (double& v : out) v = (v - offset_[var]) / scale_[var];
-  return out;
-}
-
-std::vector<double> Scaler::InverseTransformColumn(const std::vector<double>& x,
-                                                   std::size_t var) const {
-  std::vector<double> out = x;
-  if (kind_ == ScalerKind::kNone) return out;
-  TFB_CHECK(var < offset_.size());
-  for (double& v : out) v = v * scale_[var] + offset_[var];
-  return out;
-}
-
 }  // namespace tfb::ts

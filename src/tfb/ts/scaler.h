@@ -32,14 +32,6 @@ class Scaler {
   /// Inverts the transform.
   TimeSeries InverseTransform(const TimeSeries& series) const;
 
-  /// Applies the transform for a single variable to a raw vector.
-  std::vector<double> TransformColumn(const std::vector<double>& x,
-                                      std::size_t var) const;
-
-  /// Inverts the transform for a single variable.
-  std::vector<double> InverseTransformColumn(const std::vector<double>& x,
-                                             std::size_t var) const;
-
   /// The configured kind.
   ScalerKind kind() const { return kind_; }
 

@@ -416,6 +416,73 @@ TEST(Determinism, TcpTracePropagationLeavesJournalBytesUnchanged) {
   std::remove(journal_on.c_str());
 }
 
+TEST(Determinism, ResumeAdoptsTheNewestJournaledRowInEveryExecutor) {
+  // The runner appends, so a re-run without --resume leaves two rows for
+  // one cell, the newer one later in the file. Every executor must resume
+  // to that newer row, verbatim (timing fields included), and the shard's
+  // rewritten journal must keep it.
+  const std::vector<BenchmarkTask> tasks = SmallGrid();
+  const auto fresh = BenchmarkRunner().Run(tasks);
+  constexpr std::size_t kTwice = 2;  // The cell journaled twice.
+  ResultRow older = fresh[kTwice];
+  older.note = "older row, superseded";
+  older.fit_seconds += 1.0;
+  for (auto& [metric, value] : older.metrics) value += 1.0;
+
+  // Task 0 is left out of the journal, so every resume also executes.
+  auto seed_journal = [&](const std::string& path) {
+    std::remove(path.c_str());
+    ASSERT_TRUE(AppendJournal(path, older));
+    for (std::size_t i = 1; i < fresh.size(); ++i) {
+      ASSERT_TRUE(AppendJournal(path, fresh[i]));
+    }
+  };
+  auto expect_newest = [&](const std::vector<ResultRow>& rows,
+                           const std::string& what) {
+    ASSERT_EQ(rows.size(), tasks.size()) << what;
+    EXPECT_EQ(JournalLine(Canonicalized(rows[0])),
+              JournalLine(Canonicalized(fresh[0])))
+        << what;
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_EQ(JournalLine(rows[i]), JournalLine(fresh[i]))
+          << what << " row " << i;
+    }
+  };
+
+  for (const Isolation isolation :
+       {Isolation::kInProcess, Isolation::kProcess}) {
+    const std::string what =
+        isolation == Isolation::kProcess ? "process" : "in_process";
+    const std::string journal =
+        testing::TempDir() + "resume_newest_" + what + ".jsonl";
+    seed_journal(journal);
+    RunnerOptions options;
+    options.isolation = isolation;
+    options.journal_path = journal;
+    options.resume = true;
+    expect_newest(BenchmarkRunner(options).Run(tasks), what);
+    std::remove(journal.c_str());
+  }
+
+  for (const ShardTransport transport :
+       {ShardTransport::kSocketpair, ShardTransport::kTcp}) {
+    const std::string what =
+        transport == ShardTransport::kTcp ? "tcp" : "socketpair";
+    const std::string journal =
+        testing::TempDir() + "resume_newest_" + what + ".jsonl";
+    seed_journal(journal);
+    RunnerOptions options;
+    options.journal_path = journal;
+    options.resume = true;
+    ShardOptions shard;
+    shard.transport = transport;
+    shard.num_workers = 2;
+    expect_newest(ShardCoordinator(options, shard).Run(tasks), what);
+    expect_newest(LoadJournal(journal), what + " journal");
+    std::remove(journal.c_str());
+  }
+}
+
 TEST(ResourceAccounting, JournalRoundTripsRusageFields) {
   ResultRow row;
   row.dataset = "d";

@@ -392,6 +392,43 @@ TEST(Shard, ScavengesLeftoverSegmentsFromACrashedCoordinator) {
   std::remove(journal.c_str());
 }
 
+TEST(Shard, LeftoverSegmentRowSupersedesTheJournalRow) {
+  // A leftover segment was written by a later run than the journal it sits
+  // beside, so where both hold a row for one cell, resume adopts the
+  // segment's row and the scavenged journal keeps it.
+  const std::vector<BenchmarkTask> tasks = SmallGrid();
+  const std::string journal = TempPath("shard_segment_wins");
+  std::remove(journal.c_str());
+
+  const auto single = BenchmarkRunner(RunnerOptions{}).Run(tasks);
+  ResultRow stale = single[1];
+  stale.note = "stale journal row";
+  for (auto& [metric, value] : stale.metrics) value += 1.0;
+  {
+    AppendJournal(journal, single[0]);
+    AppendJournal(journal, stale);
+    std::ofstream seg(journal + ".seg0");
+    seg << JournalLine(single[1]) << '\n';
+    seg << JournalLine(single[2]) << '\n';
+  }
+
+  RunnerOptions options;
+  options.journal_path = journal;
+  options.resume = true;
+  ShardOptions shard_options;
+  shard_options.num_workers = 2;
+  ShardCoordinator coordinator(options, shard_options);
+  const auto rows = coordinator.Run(tasks);
+
+  EXPECT_EQ(coordinator.stats().scavenged_segments, 1u);
+  EXPECT_EQ(JournalLine(rows[1]), JournalLine(single[1]));
+  const auto journaled = LoadJournal(journal);
+  ASSERT_EQ(journaled.size(), tasks.size());
+  EXPECT_EQ(JournalLine(journaled[1]), JournalLine(single[1]));
+  ExpectIdenticalRows(single, rows);
+  std::remove(journal.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Property-style merge test: for ANY split of the grid across two worker
 // segments, any re-dispatch duplication, and a torn trailing line in
