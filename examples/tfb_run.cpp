@@ -42,9 +42,9 @@
 // fork()ed worker processes under a crash-tolerant coordinator — a worker
 // that dies mid-shard is replaced and its unfinished tasks re-dispatched; a
 // task that repeatedly kills its worker is quarantined with a CRASHED row.
-// Each worker journals to its own segment; the coordinator merges segments
-// into the main journal at the end, so `--resume` recovers from any
-// coordinator/worker crash combination. `--chaos-kill-worker=K` makes the
+// Workers write no file: the coordinator appends each finished row to the
+// journal exactly as the in-process runner does, so `--resume` recovers
+// from any coordinator/worker crash combination. `--chaos-kill-worker=K` makes the
 // worker with spawn index K kill itself after its first completed task
 // (recovery drills, CI smoke).
 //

@@ -1,9 +1,6 @@
 #include "tfb/pipeline/journal.h"
 
-#include <cstdio>
 #include <fstream>
-#include <iterator>
-#include <unordered_set>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -205,61 +202,20 @@ std::string JournalKey(const Cell& cell) {
 
 }  // namespace
 
-std::vector<ResultRow> DedupJournalRows(std::vector<ResultRow> rows) {
-  std::vector<ResultRow> out;
-  out.reserve(rows.size());
-  std::unordered_set<std::string> seen;
-  for (ResultRow& row : rows) {
-    if (seen.insert(JournalKey(row)).second) out.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::vector<ResultRow> LoadJournalSegments(
-    const std::vector<std::string>& paths, std::size_t* skipped) {
-  if (skipped != nullptr) *skipped = 0;
-  std::vector<ResultRow> rows;
-  for (const std::string& path : paths) {
-    std::size_t file_skipped = 0;
-    std::vector<ResultRow> segment = LoadJournal(path, &file_skipped);
-    if (skipped != nullptr) *skipped += file_skipped;
-    rows.insert(rows.end(), std::make_move_iterator(segment.begin()),
-                std::make_move_iterator(segment.end()));
-  }
-  return DedupJournalRows(std::move(rows));
-}
-
 JournalIndex JournalIndex::Load(const std::string& journal_path,
-                               const std::vector<std::string>& segment_paths,
                                std::size_t* skipped) {
   JournalIndex index;
   index.journal_path_ = journal_path;
-  std::size_t journal_skipped = 0;
-  if (!journal_path.empty()) {
-    for (ResultRow& row : LoadJournal(journal_path, &journal_skipped)) {
-      index.Supersede(std::move(row));
-    }
+  for (ResultRow& row : LoadJournal(journal_path, skipped)) {
+    std::string key = JournalKey(row);
+    index.rows_[std::move(key)] = std::move(row);  // Later lines win.
   }
-  std::size_t segment_skipped = 0;
-  for (ResultRow& row : LoadJournalSegments(segment_paths, &segment_skipped)) {
-    index.Supersede(std::move(row));
-  }
-  if (skipped != nullptr) *skipped = journal_skipped + segment_skipped;
   return index;
 }
 
-void JournalIndex::Supersede(ResultRow row) {
-  const auto [it, inserted] = slot_.emplace(JournalKey(row), rows_.size());
-  if (inserted) {
-    rows_.push_back(std::move(row));
-  } else {
-    rows_[it->second] = std::move(row);
-  }
-}
-
 const ResultRow* JournalIndex::Find(const BenchmarkTask& task) const {
-  const auto it = slot_.find(JournalKey(task));
-  return it != slot_.end() ? &rows_[it->second] : nullptr;
+  const auto it = rows_.find(JournalKey(task));
+  return it != rows_.end() ? &it->second : nullptr;
 }
 
 std::size_t JournalIndex::Adopt(const std::vector<BenchmarkTask>& tasks,
@@ -285,43 +241,6 @@ std::size_t JournalIndex::Adopt(const std::vector<BenchmarkTask>& tasks,
         .Increment(static_cast<double>(resumed));
   }
   return resumed;
-}
-
-std::vector<ResultRow> JournalIndex::OutsideGrid(
-    const std::vector<BenchmarkTask>& tasks) const {
-  std::unordered_set<std::string> grid_keys;
-  grid_keys.reserve(tasks.size());
-  for (const BenchmarkTask& task : tasks) grid_keys.insert(JournalKey(task));
-  std::vector<ResultRow> out;
-  for (const ResultRow& row : rows_) {
-    if (grid_keys.count(JournalKey(row)) == 0) out.push_back(row);
-  }
-  return out;
-}
-
-bool RewriteJournal(const std::string& path,
-                    const std::vector<ResultRow>& rows, bool fsync_file) {
-  const std::string tmp = path + ".merge.tmp";
-  const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                      0644);
-  if (fd < 0) return false;
-  std::string buffer;
-  for (const ResultRow& row : rows) {
-    buffer += JournalLine(row);
-    buffer += '\n';
-  }
-  bool ok = base::WriteAll(fd, buffer);
-  if (ok && fsync_file && fsync(fd) != 0) ok = false;
-  close(fd);
-  if (!ok) {
-    unlink(tmp.c_str());
-    return false;
-  }
-  if (rename(tmp.c_str(), path.c_str()) != 0) {
-    unlink(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace tfb::pipeline

@@ -10,11 +10,14 @@
 namespace tfb::pipeline {
 
 /// JSONL run journal: one self-contained JSON object per completed result
-/// row, appended (and flushed) as each task finishes. An interrupted
-/// multi-hour grid can then be resumed: with `resume=true`, every task that
-/// `JournalIndex` answers adopts that row, whether it succeeded or failed
-/// (both are *finished* outcomes; delete the journal to force a full
-/// re-run), and only the rest execute.
+/// row, appended (and flushed) as each task finishes — by the runner, or by
+/// the shard coordinator for each row a worker sends back. Nothing else
+/// ever writes it: no executor rewrites, reorders or truncates the file, so
+/// lines are in completion order and an interrupted run loses no earlier
+/// line. An interrupted multi-hour grid can then be resumed: with
+/// `resume=true`, every task that `JournalIndex` answers adopts that row,
+/// whether it succeeded or failed (both are *finished* outcomes; delete the
+/// journal to force a full re-run), and only the rest execute.
 ///
 /// Line format (metric keys are eval::MetricName spellings):
 ///   {"dataset":"ILI","method":"VAR","horizon":12,"ok":true,"error":"",
@@ -57,38 +60,17 @@ bool ParseJournalLine(const std::string& line, ResultRow* row);
 std::vector<ResultRow> LoadJournal(const std::string& path,
                                    std::size_t* skipped = nullptr);
 
-/// Dedups rows on their (dataset, method, horizon) key, first occurrence
-/// wins ("first completed wins": a task re-executed after a worker death
-/// produces a duplicate row in a later segment; the earliest complete row
-/// is authoritative). Order of first occurrences is preserved.
-std::vector<ResultRow> DedupJournalRows(std::vector<ResultRow> rows);
-
-/// Loads and merges the per-worker segments of one sharded run, in dispatch
-/// order: every well-formed line of every existing file, deduped first-wins
-/// in `paths` order. Missing files are empty segments; torn trailing lines
-/// (a worker killed mid-append) are skipped by the line parser like any
-/// malformed line. When `skipped` is non-null it receives the total number
-/// of skipped lines across files.
-std::vector<ResultRow> LoadJournalSegments(const std::vector<std::string>& paths,
-                                           std::size_t* skipped = nullptr);
-
 /// The one resume rule: which journaled row answers a task. Rows are keyed
-/// by (dataset, method, horizon), and the newest row for a key wins:
-///  - in the main journal, read in file order, a later line supersedes an
-///    earlier one (the runner appends, so the last line is the newest);
-///  - within one run's segments, the first completed row wins
-///    (`LoadJournalSegments`);
-///  - segment rows supersede main-journal rows: they were written by a
-///    later run that stopped before merging them.
-/// `BenchmarkRunner` and `ShardCoordinator` both resume through it, so a
-/// resume adopts the same rows whatever the executor.
+/// by (dataset, method, horizon), and a later line supersedes an earlier
+/// one: every executor only ever appends, so the last line for a key is
+/// the newest. `BenchmarkRunner` and `ShardCoordinator` both resume through
+/// it, so a resume adopts the same rows whatever the executor.
 class JournalIndex {
  public:
-  /// Indexes the journal at `journal_path` (none when empty; a missing file
-  /// is an empty journal), then one run's `segment_paths` on top of it.
-  /// When `skipped` is non-null it receives the number of malformed lines.
+  /// Indexes the journal at `journal_path` (a missing file is an empty
+  /// journal). When `skipped` is non-null it receives the number of
+  /// malformed lines.
   static JournalIndex Load(const std::string& journal_path,
-                           const std::vector<std::string>& segment_paths = {},
                            std::size_t* skipped = nullptr);
 
   /// The row that answers `task`, or nullptr.
@@ -102,28 +84,10 @@ class JournalIndex {
                     std::vector<ResultRow>* rows,
                     std::vector<bool>* adopted) const;
 
-  /// Indexed rows whose key no task in `tasks` has, in index order.
-  std::vector<ResultRow> OutsideGrid(
-      const std::vector<BenchmarkTask>& tasks) const;
-
-  /// One row per key, each at the position where its key first appeared.
-  const std::vector<ResultRow>& rows() const { return rows_; }
-
  private:
-  void Supersede(ResultRow row);
-
   std::string journal_path_;
-  std::vector<ResultRow> rows_;
-  std::unordered_map<std::string, std::size_t> slot_;  // Key -> rows_ index.
+  std::unordered_map<std::string, ResultRow> rows_;  // Key -> newest row.
 };
-
-/// Atomically replaces the journal at `path` with exactly `rows` (one line
-/// each, in order): written to a temporary sibling, optionally fsync()ed,
-/// then rename()d into place — a crash mid-merge leaves the old journal
-/// (and any segments) intact for the next resume. Returns false on I/O
-/// failure.
-bool RewriteJournal(const std::string& path,
-                    const std::vector<ResultRow>& rows, bool fsync_file);
 
 }  // namespace tfb::pipeline
 

@@ -13,9 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -75,32 +73,6 @@ std::size_t DrainShutdownPipe() {
     total += static_cast<std::size_t>(n);
   }
   return total;
-}
-
-// Leftover "<stem>.seg*" files next to the journal (or temp segment base):
-// the durable remains of a previous run that crashed before its merge.
-std::vector<std::string> ExistingSegments(const std::string& base) {
-  const std::filesystem::path path(base);
-  const std::filesystem::path dir =
-      path.has_parent_path() ? path.parent_path() : ".";
-  const std::string prefix = path.filename().string() + ".seg";
-  std::vector<std::string> out;
-  std::error_code error;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, error)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > prefix.size() && name.starts_with(prefix)) {
-      out.push_back(entry.path().string());
-    }
-  }
-  if (error) {
-    // A resume that cannot list the journal directory would silently drop
-    // every crashed-run segment; surface the why (usually permissions).
-    obs::DefaultLogger().Warn(
-        "shard: cannot scan for leftover segments",
-        {{"dir", dir.string()}, {"error", error.message()}});
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 // One fork()ed worker process as the shell sees it. The pidfd makes its
@@ -171,55 +143,19 @@ std::vector<ResultRow> ShardCoordinator::Run(
     }
   }
 
-  // --- Segment base: next to the journal, or in a temp dir without one ---
-  const std::string journal_path = runner_options_.journal_path;
-  std::string temp_dir;
-  std::string segment_base = journal_path;
-  if (segment_base.empty()) {
-    char tmpl[] = "/tmp/tfb-shard-XXXXXX";
-    if (mkdtemp(tmpl) != nullptr) {
-      temp_dir = tmpl;
-      segment_base = temp_dir + "/journal";
-    } else {
-      segment_base = "tfb-shard-journal";  // Degraded: cwd-local segments.
-    }
+  // --- Resume: adopt the journal's newest row for every task it answers ---
+  const std::string& journal_path = runner_options_.journal_path;
+  std::vector<bool> done(total, false);  // Adopted or accepted rows.
+  std::size_t resumed = 0;
+  if (runner_options_.resume && !journal_path.empty()) {
+    resumed = JournalIndex::Load(journal_path)
+                  .Adopt(tasks, runner_options_.verbose, &rows, &done);
   }
-
-  // --- Resume: adopt journaled rows, scavenging leftover segments of a
-  // crashed previous run into the journal first (crash-safe recovery) ---
-  const std::vector<std::string> leftover = ExistingSegments(segment_base);
-  const bool resume = runner_options_.resume && !journal_path.empty();
-  if (!resume) {
-    // Not resuming: stale segments are garbage from an abandoned run, and
-    // pre-existing journal rows keep their place (append semantics) without
-    // exempting any task from execution.
-    for (const std::string& p : leftover) unlink(p.c_str());
-  }
-  const JournalIndex prior = JournalIndex::Load(
-      journal_path, resume ? leftover : std::vector<std::string>{});
-  if (resume && !leftover.empty()) {
-    stats_.scavenged_segments = leftover.size();
-    obs::DefaultLogger().Info(
-        "shard resume: scavenged leftover segments",
-        {{"segments", std::to_string(leftover.size())},
-         {"rows", std::to_string(prior.rows().size())}});
-    // Fold segment rows into the journal before unlinking anything, so a
-    // crash right here still loses no completed work.
-    if (RewriteJournal(journal_path, prior.rows(),
-                       runner_options_.journal_fsync)) {
-      for (const std::string& p : leftover) unlink(p.c_str());
-    }
-  }
-
-  std::vector<bool> journaled(total, false);  // Rows the journal keeps.
-  const std::size_t resumed =
-      resume ? prior.Adopt(tasks, runner_options_.verbose, &rows, &journaled)
-             : 0;
   std::vector<std::size_t> pending;
   pending.reserve(total);
   std::vector<std::size_t> unmarshallable;
   for (std::size_t slot = 0; slot < total; ++slot) {
-    if (journaled[slot]) continue;
+    if (done[slot]) continue;
     if (tcp && !TaskIsMarshallable(tasks[slot])) {
       // A task built around in-memory factories cannot cross the wire;
       // reject it up front (not journaled — a socketpair resume can still
@@ -249,8 +185,8 @@ std::vector<ResultRow> ShardCoordinator::Run(
       static_cast<std::uint64_t>(Clock::now().time_since_epoch().count());
   // With observability on, WELCOME asks every worker to collect spans and
   // metric deltas and ship them back (telemetry.h).
-  ShardCore core(tasks, pending, shard_options_, runner_options_,
-                 segment_base, observed, run_trace_id);
+  ShardCore core(tasks, pending, shard_options_, runner_options_, observed,
+                 run_trace_id);
   JournalOptions journal_options;
   journal_options.fsync_each_row = runner_options_.journal_fsync;
   std::map<std::uint64_t, std::unique_ptr<Transport>> links;  // By conn id.
@@ -342,10 +278,18 @@ std::vector<ResultRow> ShardCoordinator::Run(
         case ShardAction::Kind::kKill:
           kill(static_cast<pid_t>(a.pid), SIGKILL);
           break;
-        case ShardAction::Kind::kAppend:
-          execute(core.OnAppended(
-              a, AppendJournal(a.path, a.row, journal_options)));
+        case ShardAction::Kind::kAppend: {
+          // The runner's write rule: append the row, then keep it. Without
+          // a journal there is nothing to append.
+          const bool ok = journal_path.empty() ||
+                          AppendJournal(journal_path, a.row, journal_options);
+          if (ok) {
+            rows[a.slot] = a.row;
+            done[a.slot] = true;
+          }
+          execute(core.OnAppended(a, ok));
           break;
+        }
         case ShardAction::Kind::kStopListening:
           // A worker mid-reconnect then fails fast (ECONNREFUSED) and exits
           // on its own connect budget instead of lingering.
@@ -494,53 +438,18 @@ std::vector<ResultRow> ShardCoordinator::Run(
   listener_.reset();
   sigaction(SIGINT, &old_int, nullptr);
   sigaction(SIGTERM, &old_term, nullptr);
-  const std::size_t scavenged = stats_.scavenged_segments;
   stats_ = core.stats();
-  stats_.scavenged_segments = scavenged;
-
-  // --- Merge: segments -> rows -> journal, atomically ---
-  const std::vector<std::string> all_segments = core.segments();
-  std::size_t torn = 0;
-  const JournalIndex completed =
-      JournalIndex::Load(/*journal_path=*/"", all_segments, &torn);
   for (const std::size_t slot : pending) {
-    if (const ResultRow* row = completed.Find(tasks[slot])) {
-      rows[slot] = *row;
-      journaled[slot] = true;
-    } else {
-      // Never completed by any worker: an interrupted or starved task.
-      // Deliberately NOT journaled, so --resume runs it.
-      rows[slot] = ErrorRow(
-          tasks[slot],
-          stats_.interrupted
-              ? base::Status::Aborted("run interrupted before task completed")
-              : base::Status::Internal("task not completed by any worker "
-                                       "(spawn budget exhausted)"));
-    }
+    if (done[slot]) continue;
+    // Never completed by any worker: an interrupted or starved task.
+    // Deliberately NOT journaled, so --resume runs it.
+    rows[slot] = ErrorRow(
+        tasks[slot],
+        stats_.interrupted
+            ? base::Status::Aborted("run interrupted before task completed")
+            : base::Status::Internal("task not completed by any worker "
+                                     "(spawn budget exhausted)"));
   }
-  if (!journal_path.empty()) {
-    // Canonical journal order: every finished grid row in task order —
-    // byte-identical to a fresh single-process run's journal — followed by
-    // the prior rows whose keys are outside this grid. Rows a non-resume
-    // run re-executed supersede their journaled predecessors.
-    std::vector<ResultRow> final_rows;
-    for (std::size_t slot = 0; slot < total; ++slot) {
-      if (journaled[slot]) final_rows.push_back(rows[slot]);
-    }
-    for (ResultRow& row : prior.OutsideGrid(tasks)) {
-      final_rows.push_back(std::move(row));
-    }
-    if (!RewriteJournal(journal_path, final_rows,
-                        runner_options_.journal_fsync)) {
-      obs::DefaultLogger().Error("shard: journal merge failed; segments kept",
-                                 {{"journal", journal_path}});
-      publish();
-      tracker.EndRun();
-      return rows;  // Segments stay on disk for the next resume to scavenge.
-    }
-  }
-  for (const std::string& p : all_segments) unlink(p.c_str());
-  if (!temp_dir.empty()) rmdir(temp_dir.c_str());
 
   publish();
   tracker.EndRun();
@@ -559,7 +468,6 @@ std::vector<ResultRow> ShardCoordinator::Run(
          {"disconnects", std::to_string(stats_.disconnects)},
          {"fenced", std::to_string(stats_.fenced_completions)},
          {"corrupt_frames", std::to_string(stats_.corrupt_frames)},
-         {"torn_lines", std::to_string(torn)},
          {"worker_cpu_s",
           [&] {
             char buf[32];

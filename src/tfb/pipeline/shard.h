@@ -32,12 +32,14 @@
 /// its stats into the `tfb_shard_*` / `tfb_transport_*` counters and the
 /// /status "shard" object in one place.
 ///
-/// Durability: workers hold no journal. Each accepted row is appended to a
-/// per-connection segment (`<journal>.seg<epoch>`) before its task counts
-/// as done; segments merge into the journal at the end (first completed
-/// wins, atomic rewrite), and `--resume` scavenges the segments of a
-/// crashed run first, so a resumed run is byte-identical to a clean one.
-/// SIGINT/SIGTERM drain the run; a second signal kills the workers.
+/// Durability: workers hold no journal. The coordinator writes it the way
+/// BenchmarkRunner does: each accepted row is appended (AppendJournal,
+/// journal.h) before its task counts as done, at most once per task and
+/// run, and nothing else touches the file — no temporary files, no
+/// rewrite, and no disk at all without a journal. Lines land in completion
+/// order; `--resume` adopts the newest row per cell through JournalIndex,
+/// like every other executor. SIGINT/SIGTERM drain the run; a second
+/// signal kills the workers.
 
 namespace tfb::pipeline {
 
@@ -117,7 +119,6 @@ struct ShardRunStats {
   std::size_t redispatches = 0;      ///< Shards re-queued (death or drop).
   std::size_t shard_splits = 0;      ///< Poison-isolating splits.
   std::size_t quarantined = 0;       ///< Tasks given CRASHED rows.
-  std::size_t scavenged_segments = 0;///< Leftover segments merged at resume.
   bool interrupted = false;          ///< Drained early (signal or hook).
   bool spawn_budget_exhausted = false;
 

@@ -36,8 +36,7 @@ ResultRow ErrorRow(const BenchmarkTask& task, const base::Status& status) {
 ShardCore::ShardCore(const std::vector<BenchmarkTask>& tasks,
                      std::vector<std::size_t> pending,
                      const ShardOptions& options,
-                     const RunnerOptions& runner_options,
-                     std::string segment_base, bool telemetry,
+                     const RunnerOptions& runner_options, bool telemetry,
                      std::uint64_t trace_id)
     : tasks_(tasks),
       pending_(std::move(pending)),
@@ -47,11 +46,11 @@ ShardCore::ShardCore(const std::vector<BenchmarkTask>& tasks,
       spawning_(!tcp_ || options.spawn_workers),
       max_spawns_(options.max_total_spawns > 0 ? options.max_total_spawns
                                                : 4 * workers_),
-      segment_base_(std::move(segment_base)),
       options_blob_(SerializeWorkerOptions(runner_options, telemetry)),
       telemetry_(telemetry),
       trace_id_(trace_id),
-      done_(tasks.size(), false) {
+      done_(tasks.size(), false),
+      appending_(tasks.size(), false) {
   const std::size_t shard_size =
       options.shard_size > 0
           ? options.shard_size
@@ -119,30 +118,31 @@ ShardActions ShardCore::OnEof(std::uint64_t conn, double now_us,
 }
 
 ShardActions ShardCore::OnAppended(const ShardAction& append, bool ok) {
-  Conn* c = append.conn == 0 ? nullptr : Find(append.conn);
-  if (c == nullptr) return Flush();  // Quarantine rows are best effort.
+  if (append.conn == 0) return Flush();  // Quarantine rows are best effort.
+  const std::size_t slot = append.slot;
+  appending_[slot] = false;
+  Conn* c = Find(append.conn);
   if (!ok) {
-    Log(LogLevel::kError, "shard: segment append failed; fencing connection",
-        {{"segment", append.path}});
-    Lose(*c, Loss::kFenced);
+    Log(LogLevel::kError, "shard: journal append failed; fencing connection",
+        {{"slot", std::to_string(slot)},
+         {"conn", std::to_string(append.conn)}});
+    if (c != nullptr) Lose(*c, Loss::kFenced);
     return Flush();
   }
-  // Durable in its segment: the slot is done, and the first row wins.
-  c->started.erase(append.slot);
-  if (!done_[append.slot]) {
-    done_[append.slot] = true;
-    ++resolved_;
-    ++executed_;
-    ShardAction& finished = Emit(Kind::kTaskFinished);
-    finished.slot = append.slot;
-    finished.ok = append.ok;
-    finished.fallback = append.fallback;
-    finished.seconds = append.seconds;
-    if (options_.fault_drain_after_tasks > 0 &&
-        executed_ >= options_.fault_drain_after_tasks && !draining_) {
-      draining_ = true;  // Chaos hook: behave as one SIGTERM.
-      stats_.interrupted = true;
-    }
+  // Durable in the journal: the slot is done, and no other row may follow.
+  if (c != nullptr) c->started.erase(slot);
+  done_[slot] = true;
+  ++resolved_;
+  ++executed_;
+  ShardAction& finished = Emit(Kind::kTaskFinished);
+  finished.slot = slot;
+  finished.ok = append.ok;
+  finished.fallback = append.fallback;
+  finished.seconds = append.seconds;
+  if (options_.fault_drain_after_tasks > 0 &&
+      executed_ >= options_.fault_drain_after_tasks && !draining_) {
+    draining_ = true;  // Chaos hook: behave as one SIGTERM.
+    stats_.interrupted = true;
   }
   return Flush();
 }
@@ -239,15 +239,6 @@ ShardActions ShardCore::OnTick(double now_us) {
 
 // ---------------------------------------------------------------------------
 // Queries.
-
-std::vector<std::string> ShardCore::segments() const {
-  std::vector<std::string> out;
-  for (std::uint64_t epoch = 1; epoch < next_epoch_; ++epoch) {
-    out.push_back(segment_base_ + ".seg" + std::to_string(epoch));
-  }
-  out.push_back(segment_base_ + ".segc");
-  return out;
-}
 
 obs::ShardStats ShardCore::Status(double now_us) const {
   obs::ShardStats s;
@@ -502,16 +493,22 @@ const char* ShardCore::ProcessFrame(Conn& c, const Frame& frame) {
         return nullptr;
       }
       if (slot >= done_.size()) return "ROW slot out of range";
-      // Durability before acknowledgement: the row lands in this
-      // connection's segment before OnAppended marks the task done.
       ResultRow row;
       if (!ParseJournalLine(std::string(body), &row)) {
         return "unparsable ROW journal line";
       }
+      if (done_[slot] || appending_[slot]) {
+        // Another row answers this slot already: the first accepted row
+        // wins, and each slot reaches the journal at most once.
+        c.started.erase(slot);
+        return nullptr;
+      }
+      // Durability before acknowledgement: the row reaches the journal
+      // before OnAppended marks the task done.
+      appending_[slot] = true;
       ShardAction& append = Emit(Kind::kAppend);
       append.conn = c.id;
       append.slot = slot;
-      append.path = segment_base_ + ".seg" + std::to_string(c.epoch);
       append.row = std::move(row);
       append.ok = (*ints)[2] != 0;
       append.fallback = (*ints)[3] != 0;
@@ -660,7 +657,6 @@ void ShardCore::Quarantine(std::size_t slot, std::size_t deaths) {
        {"horizon", std::to_string(task.horizon)}});
   ShardAction& append = Emit(Kind::kAppend);
   append.slot = slot;
-  append.path = segment_base_ + ".segc";
   append.row = ErrorRow(task, base::Status::Crashed(
                                   "poison task quarantined: killed its "
                                   "worker " + std::to_string(deaths) + "x"));

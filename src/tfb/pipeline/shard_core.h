@@ -25,7 +25,10 @@
 /// carries the shell's `now` (trace-clock microseconds) and returns the
 /// actions the shell must execute, in order; the results of actions that
 /// can fail come back as events (OnSpawned, OnAppended, OnEof for a failed
-/// send). tests/shard_core_sim_test.cc drives it through seeded
+/// send). Every accepted row is one kAppend, emitted only for a slot that
+/// is neither done nor already being appended, so no slot reaches the
+/// journal twice in one run; the core names no file (the shell owns the
+/// journal path). tests/shard_core_sim_test.cc drives it through seeded
 /// interleavings.
 
 namespace tfb::pipeline {
@@ -37,7 +40,7 @@ struct ShardAction {
     kClose,          ///< Close conn's transport (the core forgot it).
     kSpawn,          ///< Fork worker spawn_index; answer with OnSpawned.
     kKill,           ///< SIGKILL pid.
-    kAppend,         ///< Append row to path; answer with OnAppended.
+    kAppend,         ///< Journal row; answer with OnAppended.
     kStopListening,  ///< Close the TCP listener.
     kTaskStarted,    ///< Progress tracker events.
     kTaskFinished,
@@ -48,12 +51,11 @@ struct ShardAction {
     kLog,            ///< level, message, fields.
   };
   Kind kind = Kind::kLog;
-  std::uint64_t conn = 0;  ///< 0 = no connection (quarantine append).
+  std::uint64_t conn = 0;  ///< 0 = no connection (quarantine row).
   std::int64_t pid = -1;
   std::size_t spawn_index = 0;
   std::size_t slot = 0;
   Frame frame;
-  std::string path;
   ResultRow row;
   bool ok = false;        ///< kTaskFinished / kAppend: the ROW's ok flag,
   bool fallback = false;  ///< its used_fallback flag
@@ -77,8 +79,8 @@ class ShardCore {
   /// outlive the core. `telemetry` asks workers to ship obs data back.
   ShardCore(const std::vector<BenchmarkTask>& tasks,
             std::vector<std::size_t> pending, const ShardOptions& options,
-            const RunnerOptions& runner_options, std::string segment_base,
-            bool telemetry, std::uint64_t trace_id);
+            const RunnerOptions& runner_options, bool telemetry,
+            std::uint64_t trace_id);
 
   /// A new transport: accepted (pid -1) or a forked socketpair child's.
   std::uint64_t OnConnect(std::int64_t pid, double now_us);
@@ -87,17 +89,16 @@ class ShardCore {
   ShardActions OnFrame(std::uint64_t conn, const Frame& frame, double now_us);
   /// EOF, socket error or failed send; `corrupt`: an undecodable stream.
   ShardActions OnEof(std::uint64_t conn, double now_us, bool corrupt = false);
+  /// `ok`: the kAppend's row reached the journal (or there is none).
   ShardActions OnAppended(const ShardAction& append, bool ok);
   ShardActions OnChildExit(std::int64_t pid, int status, double now_us);
   ShardActions OnShutdownRequest(double now_us);
   ShardActions OnTick(double now_us);
 
-  /// Every worker is gone and every connection closed: Run may merge.
+  /// Every worker is gone and every connection closed: Run may return.
   bool finished() const { return phase_ == Phase::kFinished; }
   const ShardRunStats& stats() const { return stats_; }
   std::size_t tasks_completed() const { return executed_; }
-  /// Connection segments in epoch order, then the quarantine segment.
-  std::vector<std::string> segments() const;
   obs::ShardStats Status(double now_us) const;
 
  private:
@@ -172,7 +173,6 @@ class ShardCore {
   const bool tcp_;  // Workers inherit nothing and may reconnect.
   const bool spawning_;
   const std::size_t max_spawns_;
-  const std::string segment_base_;
   const std::string options_blob_;
   const bool telemetry_;
   const std::uint64_t trace_id_;
@@ -186,6 +186,7 @@ class ShardCore {
   std::size_t shards_total_ = 0;
   std::size_t shards_completed_ = 0;
   std::vector<bool> done_;
+  std::vector<bool> appending_;  // kAppend emitted, OnAppended not yet seen.
   std::size_t resolved_ = 0;  // Pending slots finished or quarantined.
   std::size_t executed_ = 0;  // Rows accepted.
   std::size_t shutdown_requests_ = 0;

@@ -12,9 +12,9 @@
 /// \file
 /// The worker side of the sharded executor: one protocol loop shared by
 /// fork()ed socketpair children and (local or remote) TCP workers. The
-/// worker is pure compute + transport — it holds no journal and writes no
-/// segments; every finished row travels back in a ROW frame and the
-/// *coordinator* makes it durable before marking the task done.
+/// worker is pure compute + transport — it writes no file; every finished
+/// row travels back in a ROW frame and the *coordinator* appends it to the
+/// journal before marking the task done.
 ///
 /// Conversation (framed; see transport.h):
 ///   worker  -> HELLO "<version> <prev_epoch> <pid>"

@@ -1,7 +1,7 @@
 // Sharded multi-process execution: crash-tolerant coordinator, worker
 // death recovery (socket EOF and heartbeat loss), poison-task quarantine,
-// drain + resume, and the journal segment-merge property that makes resume
-// safe across any coordinator/worker crash combination.
+// drain + resume, and the append-only journal that makes resume safe
+// across any coordinator/worker crash combination.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -77,6 +77,20 @@ void ExpectIdenticalRows(const std::vector<ResultRow>& a,
   }
 }
 
+// Per task, the row the journal answers it with: what a resume adopts.
+// Sharded lines land in completion order, so journals are compared through
+// the index, not by file position.
+std::vector<ResultRow> JournalAnswers(const std::string& journal,
+                                      const std::vector<BenchmarkTask>& tasks) {
+  const JournalIndex index = JournalIndex::Load(journal);
+  std::vector<ResultRow> rows;
+  for (const BenchmarkTask& task : tasks) {
+    const ResultRow* row = index.Find(task);
+    rows.push_back(row != nullptr ? *row : ResultRow{});
+  }
+  return rows;
+}
+
 std::string TempPath(const std::string& stem) {
   return testing::TempDir() + stem + "." + std::to_string(getpid()) +
          ".jsonl";
@@ -84,7 +98,7 @@ std::string TempPath(const std::string& stem) {
 
 TEST(Shard, MatchesSingleProcessRowByRow) {
   const std::vector<BenchmarkTask> tasks = SmallGrid();
-  RunnerOptions options;  // No journal: segments live in a temp dir.
+  RunnerOptions options;  // No journal: the run touches no disk.
   const auto single = BenchmarkRunner(options).Run(tasks);
 
   ShardOptions shard_options;
@@ -237,13 +251,15 @@ TEST_P(ShardOverTransport, ObsCountersMirrorRunStats) {
 TEST(Shard, HeartbeatTimeoutRecoversWedgedWorker) {
   // SIGSTOP freezes the worker without closing its socket: only the
   // heartbeat timeout can catch it. Generous timeout budget so a loaded
-  // CI machine does not false-positive the healthy workers.
+  // CI machine does not false-positive the healthy replacement. One
+  // worker, so the one that wedges surely gets work: with two, a fast
+  // sibling can finish the grid before the first says HELLO.
   const std::vector<BenchmarkTask> tasks = SmallGrid();
   RunnerOptions options;
   const auto single = BenchmarkRunner(options).Run(tasks);
 
   ShardOptions shard_options;
-  shard_options.num_workers = 2;
+  shard_options.num_workers = 1;
   shard_options.shard_size = 2;
   shard_options.heartbeat_seconds = 0.05;
   shard_options.heartbeat_timeout_seconds = 1.0;
@@ -333,8 +349,8 @@ TEST(Shard, DrainInterruptsThenResumeCompletes) {
   EXPECT_GE(journaled.size(), 3u);  // ...and the finished rows are durable.
   EXPECT_LT(journaled.size(), tasks.size());
 
-  // Resume: only the unfinished remainder runs; the merged journal is
-  // byte-identical to the single-process run's.
+  // Resume: only the unfinished remainder runs; the journal holds one line
+  // per cell, answering each task like the single-process run.
   options.resume = true;
   ShardOptions clean_options;
   clean_options.num_workers = 2;
@@ -343,180 +359,122 @@ TEST(Shard, DrainInterruptsThenResumeCompletes) {
   const auto resumed = second.Run(tasks);
   EXPECT_FALSE(second.stats().interrupted);
   ExpectIdenticalRows(single, resumed);
-  ExpectIdenticalRows(single, LoadJournal(journal));
+  EXPECT_EQ(LoadJournal(journal).size(), tasks.size());
+  ExpectIdenticalRows(single, JournalAnswers(journal, tasks));
   std::remove(journal.c_str());
 }
 
-TEST(Shard, ScavengesLeftoverSegmentsFromACrashedCoordinator) {
-  // Simulate a coordinator killed after its workers journaled rows into
-  // segments but before the merge: the journal holds a prefix, a leftover
-  // .seg0 holds more rows plus a torn trailing line. A resumed run must
-  // adopt every completed row (journal AND segment), execute only the rest,
-  // and leave a merged journal identical to a clean single-process run.
+TEST(Shard, InterruptedRunKeepsEarlierJournalRows) {
+  // A run without --resume re-executes cells the journal already holds and
+  // appends their rows. Interrupted, it must not take the earlier rows of
+  // the cells it did not finish with it, and a resume then adopts every
+  // cell without dispatching anything.
   const std::vector<BenchmarkTask> tasks = SmallGrid();
-  const std::string journal = TempPath("shard_scavenge");
+  const std::string journal = TempPath("shard_interrupted_keeps");
   std::remove(journal.c_str());
-
-  RunnerOptions single_options;
-  const auto single = BenchmarkRunner(single_options).Run(tasks);
-  ASSERT_GE(single.size(), 6u);
-
-  // Journal: rows 0-1. Leftover segment: rows 2-3 twice (a re-dispatch
-  // duplicate) and a torn line (worker killed mid-append).
-  {
-    JournalOptions jo;
-    AppendJournal(journal, single[0], jo);
-    AppendJournal(journal, single[1], jo);
-    std::ofstream seg(journal + ".seg0");
-    seg << JournalLine(single[2]) << '\n';
-    seg << JournalLine(single[3]) << '\n';
-    seg << JournalLine(single[3]) << '\n';
-    seg << JournalLine(single[4]).substr(0, 25);  // Torn: no newline, cut.
-  }
-
   RunnerOptions options;
   options.journal_path = journal;
-  options.resume = true;
+  const auto earlier = BenchmarkRunner(options).Run(tasks);
+  ASSERT_EQ(LoadJournal(journal).size(), tasks.size());
+
   ShardOptions shard_options;
   shard_options.num_workers = 2;
-  ShardCoordinator coordinator(options, shard_options);
-  const auto rows = coordinator.Run(tasks);
+  shard_options.shard_size = 1;
+  shard_options.fault_drain_after_tasks = 3;
+  ShardCoordinator interrupted(options, shard_options);
+  interrupted.Run(tasks);
+  EXPECT_TRUE(interrupted.stats().interrupted);
+  std::multiset<std::string> lines;
+  for (const ResultRow& row : LoadJournal(journal)) {
+    lines.insert(JournalLine(row));
+  }
+  for (const ResultRow& row : earlier) {
+    EXPECT_EQ(lines.count(JournalLine(row)), 1u)
+        << row.method << " h" << row.horizon << " lost its earlier row";
+  }
+  EXPECT_GT(lines.size(), tasks.size());  // The re-executed rows, appended.
 
-  EXPECT_EQ(coordinator.stats().scavenged_segments, 1u);
-  ExpectIdenticalRows(single, rows);
-  ExpectIdenticalRows(single, LoadJournal(journal));
-  // Adopted rows (journal + scavenged segment, torn line discarded) were
-  // returned verbatim, not re-executed: bit-equal including timing fields.
-  EXPECT_EQ(JournalLine(rows[2]), JournalLine(single[2]));
-  EXPECT_EQ(JournalLine(rows[3]), JournalLine(single[3]));
+  options.resume = true;
+  ShardCoordinator resumed(options, ShardOptions{});
+  ExpectIdenticalRows(earlier, resumed.Run(tasks));
+  EXPECT_EQ(resumed.stats().shards_dispatched, 0u);
+  EXPECT_EQ(resumed.stats().workers_spawned, 0u);
+  EXPECT_EQ(LoadJournal(journal).size(), lines.size());
   std::remove(journal.c_str());
 }
 
-TEST(Shard, LeftoverSegmentRowSupersedesTheJournalRow) {
-  // A leftover segment was written by a later run than the journal it sits
-  // beside, so where both hold a row for one cell, resume adopts the
-  // segment's row and the scavenged journal keeps it.
+TEST(Shard, CrashedRunJournalResumesAlikeInEveryExecutor) {
+  // What a crashed run leaves behind: a journal holding a prefix of the
+  // grid, an older and then a newer row for one cell (a re-run without
+  // --resume appends), and a torn final line (a writer killed mid-append).
+  // An in-process resume and sharded resumes over socketpair and TCP must
+  // adopt the same rows verbatim, skip the torn line, and execute exactly
+  // the remaining cells, appending one line each.
   const std::vector<BenchmarkTask> tasks = SmallGrid();
-  const std::string journal = TempPath("shard_segment_wins");
-  std::remove(journal.c_str());
-
   const auto single = BenchmarkRunner(RunnerOptions{}).Run(tasks);
-  ResultRow stale = single[1];
-  stale.note = "stale journal row";
-  for (auto& [metric, value] : stale.metrics) value += 1.0;
-  {
-    AppendJournal(journal, single[0]);
-    AppendJournal(journal, stale);
-    std::ofstream seg(journal + ".seg0");
-    seg << JournalLine(single[1]) << '\n';
-    seg << JournalLine(single[2]) << '\n';
+  constexpr std::size_t kAdopted = 3;    // Cells 0-2 are journaled...
+  constexpr std::size_t kPrefixLines = 4;  // ...cell 2 twice.
+  ResultRow older = single[2];
+  older.note = "older row, superseded";
+  for (auto& [metric, value] : older.metrics) value += 1.0;
+  std::set<std::string> remaining;
+  for (std::size_t i = kAdopted; i < tasks.size(); ++i) {
+    remaining.insert(tasks[i].method + " h" + std::to_string(tasks[i].horizon));
   }
 
-  RunnerOptions options;
-  options.journal_path = journal;
-  options.resume = true;
-  ShardOptions shard_options;
-  shard_options.num_workers = 2;
-  ShardCoordinator coordinator(options, shard_options);
-  const auto rows = coordinator.Run(tasks);
-
-  EXPECT_EQ(coordinator.stats().scavenged_segments, 1u);
-  EXPECT_EQ(JournalLine(rows[1]), JournalLine(single[1]));
-  const auto journaled = LoadJournal(journal);
-  ASSERT_EQ(journaled.size(), tasks.size());
-  EXPECT_EQ(JournalLine(journaled[1]), JournalLine(single[1]));
-  ExpectIdenticalRows(single, rows);
-  std::remove(journal.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Property-style merge test: for ANY split of the grid across two worker
-// segments, any re-dispatch duplication, and a torn trailing line in
-// either segment, merging yields exactly the deduped row set of a clean
-// single-process journal.
-
-TEST(Shard, JournalMergePropertyAnyInterleavingAnyTear) {
-  const std::vector<BenchmarkTask> tasks = SmallGrid();
-  const auto clean = BenchmarkRunner(RunnerOptions{}).Run(tasks);
-  const std::size_t n = clean.size();
-  std::multiset<std::string> clean_lines;
-  for (const ResultRow& row : clean) clean_lines.insert(JournalLine(row));
-
-  stats::Rng rng(99);
-  const std::string seg_a = TempPath("merge_prop_a");
-  const std::string seg_b = TempPath("merge_prop_b");
-  for (int trial = 0; trial < 40; ++trial) {
-    // Segment A gets rows [0, split); segment B the rest. `dup` rows from
-    // A's range are appended to B as re-dispatch duplicates ("the worker
-    // died after the append, before the ack; the task ran again"). One of
-    // the segments may end in a torn line.
-    const std::size_t split =
-        static_cast<std::size_t>(rng.Uniform()* static_cast<double>(n + 1));
-    const std::size_t dup = static_cast<std::size_t>(
-        rng.Uniform() * static_cast<double>(split + 1));
-    const int tear = static_cast<int>(rng.Uniform() * 3.0);  // 0=no, 1=A, 2=B.
-
-    bool tore = false;
-    std::ofstream a(seg_a, std::ios::trunc);
-    for (std::size_t i = 0; i < split; ++i) {
-      a << JournalLine(clean[i]) << '\n';
+  for (const std::string what : {"in_process", "socketpair", "tcp"}) {
+    const std::string journal = TempPath("crashed_run_" + what);
+    std::remove(journal.c_str());
+    ASSERT_TRUE(AppendJournal(journal, single[0]));
+    ASSERT_TRUE(AppendJournal(journal, single[1]));
+    ASSERT_TRUE(AppendJournal(journal, older));
+    ASSERT_TRUE(AppendJournal(journal, single[2]));
+    {
+      std::ofstream torn(journal, std::ios::app);
+      torn << JournalLine(single[3]).substr(0, 25);  // Cut, no newline.
     }
-    if (tear == 1 && split < n) {
-      a << JournalLine(clean[split]).substr(
-          0, JournalLine(clean[split]).size() / 2);
-      tore = true;
+    RunnerOptions options;
+    options.journal_path = journal;
+    options.resume = true;
+    std::vector<ResultRow> rows;
+    if (what == "in_process") {
+      rows = BenchmarkRunner(options).Run(tasks);
+    } else {
+      ShardOptions shard_options;
+      shard_options.transport = what == "tcp" ? ShardTransport::kTcp
+                                              : ShardTransport::kSocketpair;
+      shard_options.num_workers = 2;
+      rows = ShardCoordinator(options, shard_options).Run(tasks);
     }
-    a.close();
-    std::ofstream b(seg_b, std::ios::trunc);
-    for (std::size_t i = split; i < n; ++i) {
-      b << JournalLine(clean[i]) << '\n';
-    }
-    for (std::size_t i = 0; i < dup; ++i) {
-      b << JournalLine(clean[i]) << '\n';  // First-completed wins over these.
-    }
-    if (tear == 2 && n > 0) {
-      b << JournalLine(clean[0]).substr(0, 10);
-      tore = true;
-    }
-    b.close();
 
+    ASSERT_EQ(rows.size(), tasks.size()) << what;
+    // Adopted rows come back verbatim, timing fields included.
+    for (std::size_t i = 0; i < kAdopted; ++i) {
+      EXPECT_EQ(JournalLine(rows[i]), JournalLine(single[i]))
+          << what << " row " << i;
+    }
+    ExpectIdenticalRows(single, rows);
     std::size_t skipped = 0;
-    const std::vector<ResultRow> merged =
-        LoadJournalSegments({seg_a, seg_b}, &skipped);
-    ASSERT_EQ(merged.size(), n) << "trial " << trial << " split " << split;
-    std::multiset<std::string> merged_lines;
-    for (const ResultRow& row : merged) {
-      merged_lines.insert(JournalLine(row));
+    const std::vector<ResultRow> lines = LoadJournal(journal, &skipped);
+    EXPECT_EQ(skipped, 1u) << what;  // The torn line, kept but unread.
+    ASSERT_EQ(lines.size(), kPrefixLines + remaining.size()) << what;
+    std::set<std::string> executed;
+    for (std::size_t i = kPrefixLines; i < lines.size(); ++i) {
+      executed.insert(lines[i].method + " h" +
+                      std::to_string(lines[i].horizon));
     }
-    EXPECT_EQ(merged_lines, clean_lines) << "trial " << trial;
-    EXPECT_EQ(skipped, tore ? 1u : 0u) << "trial " << trial;
+    EXPECT_EQ(executed, remaining) << what;
+    ExpectIdenticalRows(single, JournalAnswers(journal, tasks));
+    std::remove(journal.c_str());
   }
-  std::remove(seg_a.c_str());
-  std::remove(seg_b.c_str());
-}
-
-TEST(Shard, DedupJournalRowsFirstOccurrenceWins) {
-  ResultRow first;
-  first.dataset = "d";
-  first.method = "m";
-  first.horizon = 6;
-  first.ok = true;
-  first.note = "original";
-  ResultRow second = first;
-  second.note = "re-executed duplicate";
-  ResultRow other = first;
-  other.horizon = 12;
-  const auto deduped = DedupJournalRows({first, second, other});
-  ASSERT_EQ(deduped.size(), 2u);
-  EXPECT_EQ(deduped[0].note, "original");
-  EXPECT_EQ(deduped[1].horizon, 12u);
 }
 
 // ---------------------------------------------------------------------------
 // TCP transport + network-chaos matrix. Every chaos class must complete the
-// grid with rows byte-identical to a single-process run — first-completed-
-// wins dedup means no duplicated, fenced, or half-applied row may ever leak
-// into the results, no matter how the network misbehaves.
+// grid with rows byte-identical to a single-process run — the first
+// accepted row of a cell wins and later copies are never appended, so no
+// duplicated, fenced, or half-applied row may ever leak into the results,
+// no matter how the network misbehaves.
 
 TEST(Shard, TcpMatchesSingleProcessRowByRow) {
   const std::vector<BenchmarkTask> tasks = SmallGrid();

@@ -4,11 +4,12 @@
 // at random: a frame lands, a worker runs a task step, a child exit is
 // reported, the clock ticks — and faults strike: SIGKILLs (whose EOF and
 // exit arrive in either order), poison tasks, connection drops,
-// partitions, swallowed ROWs, duplicate and stale DONEs, garbage frames,
-// failed segment appends, wedged workers, and shutdown requests followed
-// by a resume. Every run must finish, resolve every slot exactly once,
-// quarantine only poison, book no killed worker as a network drop, and
-// leave merged segments equal to the single-process rows.
+// partitions, swallowed and duplicate ROWs, duplicate and stale DONEs,
+// garbage frames, failed journal appends, wedged workers, and shutdown
+// requests followed by a resume. Every run must finish, resolve every slot
+// exactly once, append no slot to the journal twice, quarantine only
+// poison, and book no killed worker as a network drop; the journal's
+// newest row per slot must equal the single-process row.
 
 #include <csignal>
 #include <cstdio>
@@ -80,6 +81,7 @@ struct Proc {
   std::deque<std::size_t> todo;
   bool started = false;  // START of todo.front() sent.
   std::vector<Frame> retained;
+  Frame last_row;
   Frame last_done;
 };
 
@@ -87,7 +89,7 @@ struct Outcome {
   bool finished = false;
   ShardRunStats stats;
   std::map<std::size_t, int> resolved;  // Slot -> TaskFinished count.
-  std::map<std::size_t, ResultRow> merged;  // First row per slot wins.
+  std::map<std::size_t, int> appended;  // Slot -> rows journaled.
   std::size_t connection_faults = 0;
 };
 
@@ -99,7 +101,8 @@ class Sim {
  public:
   Sim(const std::vector<BenchmarkTask>& tasks, std::vector<std::size_t> pending,
       const ShardOptions& options, std::set<std::size_t> poison,
-      std::uint64_t seed, std::size_t kill_budget, bool allow_shutdown)
+      std::uint64_t seed, std::size_t kill_budget, bool allow_shutdown,
+      std::vector<ResultRow>* journal)
       : tasks_(tasks),
         options_(options),
         tcp_(options.transport == ShardTransport::kTcp),
@@ -107,7 +110,8 @@ class Sim {
         rng_(seed),
         kill_budget_(kill_budget),
         allow_shutdown_(allow_shutdown),
-        core_(tasks, std::move(pending), options, RunnerOptions{}, "sim",
+        journal_(journal),
+        core_(tasks, std::move(pending), options, RunnerOptions{},
               /*telemetry=*/false, /*trace_id=*/1) {}
 
   Outcome Run(std::size_t max_steps) {
@@ -126,13 +130,8 @@ class Sim {
     out.finished = core_.finished();
     out.stats = core_.stats();
     out.resolved = resolved_;
+    out.appended = appended_;
     out.connection_faults = connection_faults_;
-    for (const std::string& path : core_.segments()) {
-      for (const ResultRow& row : segments_[path]) {
-        const std::size_t slot = row.horizon - 1;
-        out.merged.emplace(slot, row);
-      }
-    }
     return out;
   }
 
@@ -187,8 +186,12 @@ class Sim {
           // A failed append fences the connection: for a socketpair worker
           // that costs its life, so only TCP runs exercise it.
           const bool ok = a.conn == 0 || !tcp_ || !Chance(0.01);
-          if (ok) segments_[a.path].push_back(a.row);
-          if (!ok) ++connection_faults_;
+          if (ok) {
+            journal_->push_back(a.row);
+            ++appended_[a.slot];
+          } else {
+            ++connection_faults_;
+          }
           Execute(core_.OnAppended(a, ok));
           break;
         }
@@ -297,6 +300,7 @@ class Sim {
                             std::to_string(slot) + " 1 0 0.001\n" +
                             JournalLine(ExpectedRow(tasks_[slot]));
     p.retained.push_back(Frame{FrameType::kRow, row});
+    p.last_row = Frame{FrameType::kRow, row};
     Up(p, FrameType::kRow, row);
     p.todo.pop_front();
     p.started = false;
@@ -414,6 +418,11 @@ class Sim {
     if (p.epoch != 0 && !p.last_done.payload.empty() && Chance(0.01)) {
       Up(p, p.last_done.type, p.last_done.payload);  // Duplicate DONE.
     }
+    if (p.epoch != 0 && !p.last_row.payload.empty() && Chance(0.01)) {
+      // A second copy of an accepted row must never reach the journal.
+      ++g_tally["duplicate ROW"];
+      Up(p, p.last_row.type, p.last_row.payload);
+    }
     if (p.epoch > 1 && Chance(0.005)) {  // A zombie's stale DONE.
       Up(p, FrameType::kDone,
          std::to_string(p.epoch - 1) + " " + std::to_string(p.shard));
@@ -436,6 +445,7 @@ class Sim {
   std::mt19937_64 rng_;
   std::size_t kill_budget_;
   const bool allow_shutdown_;
+  std::vector<ResultRow>* journal_;  // Shared by both passes, like a file.
   ShardCore core_;
   double now_ = 1.0 * kSecond;
   bool listening_ = true;
@@ -443,7 +453,7 @@ class Sim {
   std::int64_t next_pid_ = 100;
   std::deque<Proc> procs_;
   std::vector<Link> links_;
-  std::map<std::string, std::vector<ResultRow>> segments_;
+  std::map<std::size_t, int> appended_;
   std::map<std::size_t, int> resolved_;
   std::size_t connection_faults_ = 0;
 };
@@ -471,11 +481,14 @@ void SimulateOne(std::uint64_t seed) {
 
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
-  std::map<std::size_t, ResultRow> merged;
+  std::vector<ResultRow> journal;
+  // The resume view: per slot, the newest journaled row (a later line
+  // supersedes an earlier one, as in JournalIndex).
+  std::map<std::size_t, ResultRow> newest;
   std::map<std::size_t, int> resolved;
   for (int pass = 0; pass < 2 && !pending.empty(); ++pass) {
     Sim sim(tasks, pending, options, poison, seed * 2 + pass, kill_budget,
-            /*allow_shutdown=*/pass == 0);
+            /*allow_shutdown=*/pass == 0, &journal);
     const Outcome out = sim.Run(200000);
     ASSERT_TRUE(out.finished) << "seed " << seed << " pass " << pass
                               << ": the run never finished";
@@ -483,7 +496,11 @@ void SimulateOne(std::uint64_t seed) {
     g_tally["heartbeat kills"] += out.stats.heartbeat_kills;
     g_tally["poison splits"] += out.stats.shard_splits;
     g_tally["resumed runs"] += pass;
-    merged.insert(out.merged.begin(), out.merged.end());
+    for (const auto& [slot, count] : out.appended) {
+      EXPECT_EQ(count, 1) << "seed " << seed << " pass " << pass
+                          << ": slot " << slot << " appended twice";
+    }
+    for (const ResultRow& row : journal) newest[row.horizon - 1] = row;
     EXPECT_LE(out.stats.disconnects, out.connection_faults)
         << "seed " << seed << ": a worker death was booked as a drop";
     EXPECT_FALSE(out.stats.spawn_budget_exhausted) << "seed " << seed;
@@ -493,16 +510,16 @@ void SimulateOne(std::uint64_t seed) {
             << "seed " << seed << ": slot " << slot << " never resolved";
       }
     }
-    // Resume: whatever the merged segments hold is adopted, the rest runs.
+    // Resume: whatever the journal answers is adopted, the rest runs.
     std::erase_if(pending,
-                  [&](std::size_t slot) { return merged.count(slot) != 0; });
+                  [&](std::size_t slot) { return newest.count(slot) != 0; });
   }
   EXPECT_TRUE(pending.empty()) << "seed " << seed;
   for (const auto& [slot, count] : resolved) {
     EXPECT_EQ(count, 1) << "seed " << seed << ": slot " << slot;
   }
-  ASSERT_EQ(merged.size(), n) << "seed " << seed;
-  for (const auto& [slot, row] : merged) {
+  ASSERT_EQ(newest.size(), n) << "seed " << seed;
+  for (const auto& [slot, row] : newest) {
     if (poison.count(slot) != 0) {
       EXPECT_NE(row.error.find("quarantined"), std::string::npos)
           << "seed " << seed << ": poison slot " << slot;
@@ -525,9 +542,10 @@ TEST(ShardCoreSim, EveryInterleavingResolvesEverySlotOnce) {
         "shard: worker reconnected", "shard: fenced stale completion",
         "shard: DONE with undelivered rows, re-queueing",
         "shard: protocol violation, killing connection",
-        "shard: segment append failed; fencing connection",
+        "shard: journal append failed; fencing connection",
         "shard: shutdown requested, draining in-flight shards",
-        "shard: second shutdown request, killing workers", "heartbeat kills",
+        "shard: second shutdown request, killing workers", "duplicate ROW",
+        "heartbeat kills",
         "poison splits", "resumed runs"}) {
     EXPECT_GE(g_tally[hazard], 5u) << hazard;
     std::printf("%8zu  %s\n", g_tally[hazard], hazard);
