@@ -6,9 +6,18 @@
 // Usage:
 //   ./build/examples/tfb_run my_run.conf            # run a config file
 //   ./build/examples/tfb_run my_run.conf --resume   # skip journaled tasks
-//   ./build/examples/tfb_run my_run.conf --isolate=process  # sandbox tasks
+//   ./build/examples/tfb_run my_run.conf --workers=4 --seed=8
 //   ./build/examples/tfb_run --print-default        # show default config
 //   ./build/examples/tfb_run                        # run a small demo
+//
+// Any config key is also a flag, `--key=value`, applied after the file's
+// lines in argv order: `--max-windows=3` is the line `max_windows = 3` (a
+// `-` in the key stands for `_`), and a bare `--external-workers` means
+// `external_workers = true`. The file and the flags go through one parser
+// (pipeline::ParseConfig), so they accept and reject the same values.
+// `--isolate=MODE` is a spelling of `--isolation=MODE`. Only three flags
+// are not config keys: `--resume`, `--print-default` and
+// `--chaos-kill-worker=K`.
 //
 // Fault isolation (see the "Failure semantics" section of DESIGN.md): the
 // config keys `deadline_seconds`, `max_retries`, `retry_backoff_ms`,
@@ -18,35 +27,34 @@
 // configured, `--resume` continues an interrupted grid, executing only the
 // cells the journal does not cover.
 //
-// Process isolation (`--isolate=process`, or `isolation = process` in the
-// config): every task runs in a fork()ed child under the configured
+// Process isolation (`isolation = process`, or `--isolate=process`):
+// every task runs in a fork()ed child under the configured
 // `memory_limit_mb` / `cpu_limit_seconds` resource limits. A method that
 // segfaults, aborts, allocates without bound, or hangs is killed and
 // classified (crash / oom / timeout / abort) in the journal and the
 // report's failure footer; the rest of the grid is untouched.
-// `--isolate=in_process` forces the threaded mode over the config.
 //
 // Observability (see the "Observability" section of DESIGN.md):
-// `--trace-out=run.trace.json` (config key `trace_out`) captures runner /
-// sandbox / trainer / eval spans as Chrome trace_event JSON — load it in
-// chrome://tracing or https://ui.perfetto.dev. `--metrics-out=run.prom`
-// (config key `metrics_out`) dumps the metrics registry as Prometheus
-// text, or JSON when the path ends in ".json". Either flag turns
+// `--trace-out=run.trace.json` captures runner / sandbox / trainer / eval
+// spans as Chrome trace_event JSON — load it in chrome://tracing or
+// https://ui.perfetto.dev. `--metrics-out=run.prom` dumps the metrics
+// registry as Prometheus text, or JSON when the path ends in ".json".
+// Either key turns
 // collection on; without them the instrumented paths stay disabled and
 // effectively free. Resource accounting (per-task CPU seconds; peak RSS
 // under process isolation) always lands on the rows, the CSV, and the
 // performance summary printed after the result table.
 //
 // Sharded multi-process execution (see the "Sharded execution" section of
-// DESIGN.md): `--workers=N` (config key `workers`) runs the grid across N
+// DESIGN.md): `--workers=N` runs the grid across N
 // fork()ed worker processes under a crash-tolerant coordinator — a worker
 // that dies mid-shard is replaced and its unfinished tasks re-dispatched; a
 // task that repeatedly kills its worker is quarantined with a CRASHED row.
 // Workers write no file: the coordinator appends each finished row to the
 // journal exactly as the in-process runner does, so `--resume` recovers
-// from any coordinator/worker crash combination. `--chaos-kill-worker=K` makes the
-// worker with spawn index K kill itself after its first completed task
-// (recovery drills, CI smoke).
+// from any coordinator/worker crash combination. `--chaos-kill-worker=K`
+// makes the worker with spawn index K kill itself after its first
+// completed task (recovery drills, CI smoke).
 //
 // TCP transport (see the "Transport" section of DESIGN.md):
 // `--transport=tcp` moves the coordinator<->worker protocol onto framed,
@@ -75,10 +83,11 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <iostream>
+#include <string_view>
 
 #include "tfb/linalg/gemm.h"
 #include "tfb/pipeline/config.h"
@@ -87,6 +96,13 @@
 #include "tfb/tfb.h"
 
 namespace {
+
+/// The grid run when no config file is given.
+constexpr char kDemoConfig[] =
+    "datasets = ILI, NASDAQ\n"
+    "methods = SeasonalNaive, VAR, LinearRegression, NLinear\n"
+    "horizons = 12\n"
+    "train_epochs = 10\n";
 
 /// "tfb-20260806T101112-12345": unique enough to tell two runs apart on a
 /// dashboard, human-decodable, no dependencies.
@@ -104,116 +120,40 @@ std::string MakeRunId() {
 int main(int argc, char** argv) {
   using namespace tfb;
 
-  pipeline::BenchmarkConfig config;
-  bool resume = false;
-  bool isolation_forced = false;
-  pipeline::Isolation isolation = pipeline::Isolation::kInProcess;
   const char* config_path = nullptr;
-  std::string trace_out;    // --trace-out= overrides the config key.
-  std::string metrics_out;  // --metrics-out= overrides the config key.
-  // CLI overrides for the telemetry config keys; the *_set flags separate
-  // "flag absent" from "flag set to the default value".
-  obs::LogLevel log_level = obs::LogLevel::kInfo;
-  bool log_level_set = false;
-  std::string log_json;
-  obs::ProgressMode progress_mode = obs::ProgressMode::kAuto;
-  bool progress_set = false;
-  long serve_port = -1;  // -1 = flag absent.
-  long workers = -1;     // -1 = flag absent (config key decides).
-  long chaos_kill_worker = -1;  // Spawn index to fault-kill; -1 = off.
-  std::string transport;   // --transport= overrides the config key.
-  std::string listen;      // --listen=HOST:PORT overrides the config key.
-  std::string chaos_net;   // --chaos-net= overrides the config key.
-  std::string kernel;      // --kernel= overrides the config key.
-  bool external_workers = false;
+  bool resume = false;
+  int chaos_kill_worker = -1;  // Spawn index to fault-kill; -1 = off.
+  std::vector<std::string> flags;
   const char* usage =
-      "usage: tfb_run [config] [--resume] [--isolate=process|in_process]\n"
-      "               [--workers=N] [--chaos-kill-worker=K]\n"
-      "               [--transport=socketpair|tcp] [--listen=HOST:PORT]\n"
-      "               [--external-workers] [--chaos-net=SPEC]\n"
-      "               [--trace-out=FILE.json] [--metrics-out=FILE[.json]]\n"
-      "               [--serve=PORT] [--progress=auto|bar|plain|off]\n"
-      "               [--log-level=LEVEL] [--log-json=FILE]\n"
-      "               [--kernel=scalar|avx2|neon]\n";
+      "usage: tfb_run [config] [--resume] [--chaos-kill-worker=K]\n"
+      "               [--KEY=VALUE ...]  any config key as --key=value\n"
+      "                                  (keys: tfb_run --print-default)\n"
+      "       tfb_run --print-default\n";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--print-default") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--print-default") {
+      pipeline::BenchmarkConfig config;
       config.datasets = {"ETTh2", "ILI"};
       config.methods = {"VAR", "LinearRegression", "NLinear"};
       std::printf("%s", pipeline::ConfigToString(config).c_str());
       return 0;
     }
-    if (std::strcmp(argv[i], "--resume") == 0) {
+    if (arg == "--resume") {
       resume = true;
-    } else if (std::strcmp(argv[i], "--isolate=process") == 0) {
-      isolation_forced = true;
-      isolation = pipeline::Isolation::kProcess;
-    } else if (std::strcmp(argv[i], "--isolate=in_process") == 0) {
-      isolation_forced = true;
-      isolation = pipeline::Isolation::kInProcess;
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = std::strtol(argv[i] + 10, nullptr, 10);
-      if (workers < 0 || workers > 256) {
-        std::fprintf(stderr, "bad --workers count: %s\n", argv[i] + 10);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--chaos-kill-worker=", 20) == 0) {
-      chaos_kill_worker = std::strtol(argv[i] + 20, nullptr, 10);
-      if (chaos_kill_worker < 0) {
+    } else if (arg.starts_with("--chaos-kill-worker=")) {
+      const std::string_view index = arg.substr(20);
+      const auto [end, ec] = std::from_chars(
+          index.data(), index.data() + index.size(), chaos_kill_worker);
+      if (ec != std::errc() || end != index.data() + index.size() ||
+          chaos_kill_worker < 0) {
         std::fprintf(stderr, "bad --chaos-kill-worker index: %s\n",
                      argv[i] + 20);
         return 1;
       }
-    } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      transport = argv[i] + 12;
-      if (transport != "socketpair" && transport != "tcp") {
-        std::fprintf(stderr, "bad --transport (socketpair|tcp): %s\n",
-                     transport.c_str());
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--listen=", 9) == 0) {
-      listen = argv[i] + 9;
-    } else if (std::strcmp(argv[i], "--external-workers") == 0) {
-      external_workers = true;
-    } else if (std::strncmp(argv[i], "--chaos-net=", 12) == 0) {
-      chaos_net = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      metrics_out = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--serve=", 8) == 0) {
-      serve_port = std::strtol(argv[i] + 8, nullptr, 10);
-      if (serve_port < 0 || serve_port > 65535) {
-        std::fprintf(stderr, "bad --serve port: %s\n", argv[i] + 8);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      const auto mode = obs::ParseProgressMode(argv[i] + 11);
-      if (!mode) {
-        std::fprintf(stderr, "bad --progress mode: %s\n", argv[i] + 11);
-        return 1;
-      }
-      progress_mode = *mode;
-      progress_set = true;
-    } else if (std::strncmp(argv[i], "--log-level=", 12) == 0) {
-      const auto level = obs::ParseLogLevel(argv[i] + 12);
-      if (!level) {
-        std::fprintf(stderr, "bad --log-level: %s\n", argv[i] + 12);
-        return 1;
-      }
-      log_level = *level;
-      log_level_set = true;
-    } else if (std::strncmp(argv[i], "--log-json=", 11) == 0) {
-      log_json = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-      kernel = argv[i] + 9;
-      if (kernel != "scalar" && kernel != "avx2" && kernel != "neon") {
-        std::fprintf(stderr, "bad --kernel (scalar|avx2|neon): %s\n",
-                     kernel.c_str());
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "%s", usage);
-      return 1;
+    } else if (arg.starts_with("--isolate=")) {
+      flags.push_back("--isolation=" + std::string(arg.substr(10)));
+    } else if (arg.starts_with("--")) {
+      flags.emplace_back(arg);
     } else if (config_path == nullptr) {
       config_path = argv[i];
     } else {
@@ -221,21 +161,16 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (config_path != nullptr) {
-    std::string error;
-    const auto loaded = pipeline::LoadConfigFile(config_path, &error);
-    if (!loaded) {
-      std::fprintf(stderr, "config error: %s\n", error.c_str());
-      return 1;
-    }
-    config = *loaded;
-  } else {
-    // Demo configuration.
-    config.datasets = {"ILI", "NASDAQ"};
-    config.methods = {"SeasonalNaive", "VAR", "LinearRegression", "NLinear"};
-    config.horizons = {12};
-    config.train_epochs = 10;
+  std::string error;
+  const auto parsed =
+      config_path != nullptr
+          ? pipeline::LoadConfigFile(config_path, &error, flags)
+          : pipeline::ParseConfig(kDemoConfig, &error, flags);
+  if (!parsed) {
+    std::fprintf(stderr, "config error: %s\n%s", error.c_str(), usage);
+    return 1;
   }
+  const pipeline::BenchmarkConfig& config = *parsed;
   if (resume && config.journal.empty()) {
     std::fprintf(stderr,
                  "--resume needs a `journal = <path>` key in the config\n");
@@ -244,34 +179,30 @@ int main(int argc, char** argv) {
   // Pin the GEMM dispatch path before any compute runs. A valid name that
   // this host cannot run falls back to scalar (the portable baseline) —
   // results are bit-identical on every path, so only speed is affected.
-  if (kernel.empty()) kernel = config.kernel;
-  if (!kernel.empty()) {
-    if (!linalg::kernel::SetKernelPathByName(kernel)) {
+  if (!config.kernel.empty()) {
+    if (!linalg::kernel::SetKernelPathByName(config.kernel)) {
       std::fprintf(stderr,
                    "kernel path %s unavailable on this host; using scalar\n",
-                   kernel.c_str());
+                   config.kernel.c_str());
       linalg::kernel::SetKernelPath(linalg::kernel::KernelPath::kScalar);
     }
     std::printf("gemm kernel path: %s\n",
                 linalg::kernel::KernelPathName(
                     linalg::kernel::ActiveKernelPath()));
   }
-  if (trace_out.empty()) trace_out = config.trace_out;
-  if (metrics_out.empty()) metrics_out = config.metrics_out;
-  if (!log_level_set) log_level = config.log_level;
-  if (log_json.empty()) log_json = config.log_json;
-  if (!progress_set) progress_mode = config.progress;
-  const std::uint16_t port =
-      serve_port >= 0 ? static_cast<std::uint16_t>(serve_port)
-                      : static_cast<std::uint16_t>(config.serve_port);
+  const std::string& trace_out = config.trace_out;
+  const std::string& metrics_out = config.metrics_out;
+  const auto port = static_cast<std::uint16_t>(config.serve_port);
   // Serving /metrics implies collecting them.
   if (!trace_out.empty() || !metrics_out.empty() || port != 0) {
     obs::SetEnabled(true);
     if (!trace_out.empty()) obs::DefaultTracer().Enable();
   }
-  obs::DefaultLogger().SetLevel(log_level);
-  if (!log_json.empty() && !obs::DefaultLogger().OpenJsonlSink(log_json)) {
-    std::fprintf(stderr, "cannot open --log-json sink %s\n", log_json.c_str());
+  obs::DefaultLogger().SetLevel(config.log_level);
+  if (!config.log_json.empty() &&
+      !obs::DefaultLogger().OpenJsonlSink(config.log_json)) {
+    std::fprintf(stderr, "cannot open log_json sink %s\n",
+                 config.log_json.c_str());
     return 1;
   }
   const std::string run_id = MakeRunId();
@@ -279,8 +210,7 @@ int main(int argc, char** argv) {
   if (port != 0) {
     const base::Status status = exporter.Start();
     if (!status.ok()) {
-      std::fprintf(stderr, "--serve failed: %s\n",
-                   status.ToString().c_str());
+      std::fprintf(stderr, "serve failed: %s\n", status.ToString().c_str());
       return 1;
     }
   }
@@ -295,77 +225,37 @@ int main(int argc, char** argv) {
   // With a live progress display the per-task INFO lines are redundant
   // noise; keep them for off/plain-free runs (still reachable anywhere via
   // --log-level=debug).
-  runner_options.verbose = progress_mode == obs::ProgressMode::kOff;
-  runner_options.progress = progress_mode;
-  if (isolation_forced) runner_options.isolation = isolation;
+  runner_options.verbose = config.progress == obs::ProgressMode::kOff;
   if (runner_options.isolation == pipeline::Isolation::kProcess) {
     std::printf("process isolation: on (memory_limit_mb=%zu, "
                 "cpu_limit_seconds=%g)\n",
                 runner_options.memory_limit_mb,
                 runner_options.cpu_limit_seconds);
   }
-  const std::size_t effective_workers =
-      workers >= 0 ? static_cast<std::size_t>(workers) : config.workers;
   std::vector<pipeline::ResultRow> rows;
-  if (effective_workers > 0) {
-    pipeline::ShardOptions shard_options;
-    shard_options.num_workers = effective_workers;
-    shard_options.shard_size = config.shard_size;
-    if (chaos_kill_worker >= 0) {
-      shard_options.fault_kill_worker = static_cast<int>(chaos_kill_worker);
-    }
-    // CLI flags override the transport/listen/chaos config keys.
-    if (transport.empty()) transport = config.transport;
-    if (listen.empty() && (config.listen_host != "127.0.0.1" ||
-                           config.listen_port != 0)) {
-      listen = config.listen_host + ":" + std::to_string(config.listen_port);
-    }
-    if (chaos_net.empty()) chaos_net = config.chaos_net;
-    if (transport == "tcp") {
-      shard_options.transport = pipeline::ShardTransport::kTcp;
-      shard_options.spawn_workers =
-          !(external_workers || config.external_workers);
-    }
-    if (!listen.empty()) {
-      const std::size_t colon = listen.find_last_of(':');
-      shard_options.listen_host =
-          colon == std::string::npos ? listen : listen.substr(0, colon);
-      if (colon != std::string::npos) {
-        const long p = std::strtol(listen.c_str() + colon + 1, nullptr, 10);
-        if (p < 0 || p > 65535) {
-          std::fprintf(stderr, "bad --listen port in %s\n", listen.c_str());
-          return 1;
-        }
-        shard_options.listen_port = static_cast<std::uint16_t>(p);
-      }
-    }
-    if (!chaos_net.empty()) {
-      std::string chaos_error;
-      const auto plan = pipeline::ParseFaultPlan(chaos_net, &chaos_error);
-      if (!plan) {
-        std::fprintf(stderr, "bad --chaos-net: %s\n", chaos_error.c_str());
-        return 1;
-      }
-      shard_options.chaos = *plan;
+  if (config.workers > 0) {
+    pipeline::ShardOptions shard_options = config.MakeShardOptions();
+    shard_options.fault_kill_worker = chaos_kill_worker;
+    if (!config.chaos_net.empty()) {
       std::printf("network chaos: %s\n",
-                  pipeline::FaultPlanToString(*plan).c_str());
+                  pipeline::FaultPlanToString(shard_options.chaos).c_str());
     }
     pipeline::ShardCoordinator coordinator(runner_options, shard_options);
     if (shard_options.transport == pipeline::ShardTransport::kTcp) {
       std::string bind_error;
       if (!coordinator.BindListener(&bind_error)) {
-        std::fprintf(stderr, "--listen failed: %s\n", bind_error.c_str());
+        std::fprintf(stderr, "listen failed: %s\n", bind_error.c_str());
         return 1;
       }
       std::printf("sharded execution: %zu workers over tcp %s:%u%s\n",
-                  effective_workers, shard_options.listen_host.c_str(),
+                  config.workers, shard_options.listen_host.c_str(),
                   static_cast<unsigned>(coordinator.listen_port()),
                   shard_options.spawn_workers
                       ? ""
                       : " (waiting for external tfb_worker processes)");
     } else {
       std::printf("sharded execution: %zu worker processes\n",
-                  effective_workers);
+                  config.workers);
     }
     rows = coordinator.Run(tasks);
     const pipeline::ShardRunStats& stats = coordinator.stats();

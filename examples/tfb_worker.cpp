@@ -6,8 +6,10 @@
 // see src/tfb/pipeline/transport.h), computes, and streams result rows
 // back. It holds no journal and writes nothing locally — durability is the
 // coordinator's job, which makes a worker freely killable: on connection
-// loss it reconnects with capped exponential backoff under a fresh lease
-// epoch, and any stale rows it replays are fenced by the coordinator.
+// loss it reconnects under a fresh lease epoch, and any stale rows it
+// replays are fenced by the coordinator. Connect attempts back off from
+// 50 ms to a 2 s cap; a refused reconnect (the coordinator stopped
+// listening) ends the worker at once.
 //
 // When the coordinator runs with observability on, it asks this worker
 // (via the WELCOME options blob) to collect spans and metric deltas and
@@ -15,13 +17,11 @@
 // here; the worker's telemetry follows the coordinator's.
 //
 // Usage:
-//   ./build/examples/tfb_worker --connect=HOST:PORT
-//       [--retry-backoff-ms=MS] [--retry-backoff-max-ms=MS]
-//       [--max-connect-failures=N] [--chaos-net=SPEC]
+//   ./build/examples/tfb_worker --connect=HOST:PORT [--chaos-net=SPEC]
 //       [--log-level=LEVEL] [--log-json=FILE]
 //
-// Exit codes: 0 after the coordinator's QUIT, 1 when the connect budget is
-// exhausted (coordinator gone or unreachable).
+// Exit codes: 0 after the coordinator's QUIT, 1 when the coordinator is
+// gone: a reconnect was refused, or 10 connect attempts in a row failed.
 //
 // --chaos-net injects deterministic, seeded faults into this worker's send
 // path (drop, corrupt, short writes, delays, partitions) — the same spec
@@ -42,9 +42,7 @@ int main(int argc, char** argv) {
   pipeline::TcpWorkerOptions options;
   bool have_endpoint = false;
   const char* usage =
-      "usage: tfb_worker --connect=HOST:PORT\n"
-      "                  [--retry-backoff-ms=MS] [--retry-backoff-max-ms=MS]\n"
-      "                  [--max-connect-failures=N] [--chaos-net=SPEC]\n"
+      "usage: tfb_worker --connect=HOST:PORT [--chaos-net=SPEC]\n"
       "                  [--log-level=trace|debug|info|warn|error|off]\n"
       "                  [--log-json=FILE]\n";
   for (int i = 1; i < argc; ++i) {
@@ -65,18 +63,6 @@ int main(int argc, char** argv) {
       options.host = endpoint.substr(0, colon);
       options.port = static_cast<std::uint16_t>(port);
       have_endpoint = true;
-    } else if (std::strncmp(argv[i], "--retry-backoff-ms=", 19) == 0) {
-      options.loop.retry_backoff_ms = std::strtod(argv[i] + 19, nullptr);
-    } else if (std::strncmp(argv[i], "--retry-backoff-max-ms=", 23) == 0) {
-      options.loop.retry_backoff_max_ms = std::strtod(argv[i] + 23, nullptr);
-    } else if (std::strncmp(argv[i], "--max-connect-failures=", 23) == 0) {
-      const long n = std::strtol(argv[i] + 23, nullptr, 10);
-      if (n <= 0) {
-        std::fprintf(stderr, "bad --max-connect-failures: %s\n",
-                     argv[i] + 23);
-        return 1;
-      }
-      options.loop.max_connect_failures = static_cast<std::size_t>(n);
     } else if (std::strncmp(argv[i], "--chaos-net=", 12) == 0) {
       std::string error;
       const auto plan = pipeline::ParseFaultPlan(argv[i] + 12, &error);

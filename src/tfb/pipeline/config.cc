@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
 #include "tfb/datagen/registry.h"
 #include "tfb/pipeline/transport.h"
+#include "tfb/pipeline/wire.h"
 
 namespace tfb::pipeline {
 
@@ -48,6 +50,177 @@ bool ParseBool(const std::string& value, bool* out) {
   return false;
 }
 
+/// Applies one setting. Returns "" on success, else what is wrong with it.
+/// The file's lines and the command line's flags both come through here.
+std::string ApplyKey(const std::string& key, const std::string& value,
+                     BenchmarkConfig* config) {
+  const std::string bad = "bad " + key + ": " + value;
+  // Integers: digits only — no sign, no trailing text, no overflow.
+  auto count = [&](std::size_t max) -> std::optional<std::size_t> {
+    const auto fields = ParseSizeFields(value, 1, 1);
+    if (!fields || (*fields)[0] > max) return std::nullopt;
+    return (*fields)[0];
+  };
+  auto set_count = [&](std::size_t* field, std::size_t max = SIZE_MAX) {
+    const auto v = count(max);
+    if (!v) return bad;
+    *field = *v;
+    return std::string();
+  };
+  // Non-negative finite reals, with nothing after the number.
+  auto set_real = [&](double* field) {
+    const auto v = ParseStrictDouble(value);
+    if (!v || *v < 0.0) return bad;
+    *field = *v;
+    return std::string();
+  };
+  auto set_bool = [&](bool* field) {
+    return ParseBool(value, field) ? std::string() : bad;
+  };
+  if (key == "datasets") {
+    config->datasets = SplitList(value);
+  } else if (key == "methods") {
+    config->methods = SplitList(value);
+  } else if (key == "horizons") {
+    std::vector<std::size_t> horizons;
+    for (const std::string& h : SplitList(value)) {
+      const auto fields = ParseSizeFields(h, 1, 1);
+      if (!fields || (*fields)[0] == 0) return "bad horizon: " + h;
+      horizons.push_back((*fields)[0]);
+    }
+    config->horizons = std::move(horizons);
+  } else if (key == "metrics") {
+    std::vector<eval::Metric> metrics;
+    for (const std::string& m : SplitList(value)) {
+      const auto metric = MetricFromName(m);
+      if (!metric) return "unknown metric: " + m;
+      metrics.push_back(*metric);
+    }
+    config->metrics = std::move(metrics);
+  } else if (key == "strategy") {
+    // Accepted for existing configs; BuildTasks only knows one protocol.
+    if (value != "rolling") {
+      return "strategy must be rolling: the pipeline runs the rolling "
+             "strategy only";
+    }
+  } else if (key == "scaler") {
+    if (value == "zscore") {
+      config->scaler = ts::ScalerKind::kZScore;
+    } else if (value == "minmax") {
+      config->scaler = ts::ScalerKind::kMinMax;
+    } else if (value == "none") {
+      config->scaler = ts::ScalerKind::kNone;
+    } else {
+      return "unknown scaler: " + value;
+    }
+  } else if (key == "max_windows") {
+    return set_count(&config->max_windows);
+  } else if (key == "stride") {
+    return set_count(&config->stride);
+  } else if (key == "drop_last") {
+    return set_bool(&config->drop_last);
+  } else if (key == "hyper_search") {
+    return set_bool(&config->hyper_search);
+  } else if (key == "train_epochs") {
+    const auto v = count(INT_MAX);
+    if (!v) return bad;
+    config->train_epochs = static_cast<int>(*v);
+  } else if (key == "seed") {
+    const auto v = count(SIZE_MAX);
+    if (!v) return bad;
+    config->seed = *v;
+  } else if (key == "num_threads") {
+    return set_count(&config->num_threads);
+  } else if (key == "kernel") {
+    if (value != "scalar" && value != "avx2" && value != "neon") {
+      return "kernel must be scalar, avx2, or neon";
+    }
+    config->kernel = value;
+  } else if (key == "max_length") {
+    return set_count(&config->max_length);
+  } else if (key == "max_dim") {
+    return set_count(&config->max_dim);
+  } else if (key == "deadline_seconds") {
+    return set_real(&config->deadline_seconds);
+  } else if (key == "max_retries") {
+    return set_count(&config->max_retries);
+  } else if (key == "retry_backoff_ms") {
+    return set_real(&config->retry_backoff_ms);
+  } else if (key == "retry_backoff_max_ms") {
+    return set_real(&config->retry_backoff_max_ms);
+  } else if (key == "workers") {
+    const auto v = count(256);
+    if (!v) return "bad workers (0 to 256): " + value;
+    config->workers = *v;
+  } else if (key == "shard_size") {
+    return set_count(&config->shard_size);
+  } else if (key == "transport") {
+    if (value != "socketpair" && value != "tcp") {
+      return "transport must be socketpair or tcp";
+    }
+    config->transport = value;
+  } else if (key == "listen") {
+    const std::size_t colon = value.find_last_of(':');
+    const std::string host = value.substr(0, colon);
+    if (host.empty()) return "bad listen endpoint: " + value;
+    std::size_t port = 0;
+    if (colon != std::string::npos) {
+      const auto fields = ParseSizeFields(value.substr(colon + 1), 1, 1);
+      if (!fields || (*fields)[0] > 65535) {
+        return "bad listen port: " + value.substr(colon + 1);
+      }
+      port = (*fields)[0];
+    }
+    config->listen_host = host;
+    config->listen_port = port;
+  } else if (key == "external_workers") {
+    return set_bool(&config->external_workers);
+  } else if (key == "chaos_net") {
+    std::string chaos_error;
+    if (!ParseFaultPlan(value, &chaos_error)) {
+      return "bad chaos_net: " + chaos_error;
+    }
+    config->chaos_net = value;
+  } else if (key == "fallback") {
+    config->fallback = value;
+  } else if (key == "journal") {
+    config->journal = value;
+  } else if (key == "journal_fsync") {
+    return set_bool(&config->journal_fsync);
+  } else if (key == "isolation") {
+    if (value == "process") {
+      config->isolation = Isolation::kProcess;
+    } else if (value == "in_process") {
+      config->isolation = Isolation::kInProcess;
+    } else {
+      return "isolation must be in_process or process";
+    }
+  } else if (key == "trace_out") {
+    config->trace_out = value;
+  } else if (key == "metrics_out") {
+    config->metrics_out = value;
+  } else if (key == "log_level") {
+    const auto level = obs::ParseLogLevel(value);
+    if (!level) return "unknown log_level: " + value;
+    config->log_level = *level;
+  } else if (key == "log_json") {
+    config->log_json = value;
+  } else if (key == "progress") {
+    const auto mode = obs::ParseProgressMode(value);
+    if (!mode) return "progress must be auto, bar, plain, or off";
+    config->progress = *mode;
+  } else if (key == "serve") {
+    return set_count(&config->serve_port, 65535);
+  } else if (key == "memory_limit_mb") {
+    return set_count(&config->memory_limit_mb);
+  } else if (key == "cpu_limit_seconds") {
+    return set_real(&config->cpu_limit_seconds);
+  } else {
+    return "unknown key: " + key;
+  }
+  return std::string();
+}
+
 }  // namespace
 
 std::optional<eval::Metric> MetricFromName(const std::string& name) {
@@ -57,206 +230,58 @@ std::optional<eval::Metric> MetricFromName(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<BenchmarkConfig> ParseConfig(const std::string& text,
-                                           std::string* error) {
+std::optional<BenchmarkConfig> ParseConfig(
+    const std::string& text, std::string* error,
+    const std::vector<std::string>& flags) {
   BenchmarkConfig config;
-  std::istringstream is(text);
-  std::string line;
-  int line_number = 0;
   auto fail = [&](const std::string& message) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_number) + ": " + message;
-    }
+    if (error != nullptr) *error = message;
     return std::nullopt;
   };
-  while (std::getline(is, line)) {
-    ++line_number;
+  std::istringstream is(text);
+  std::string line;
+  for (int line_number = 1; std::getline(is, line); ++line_number) {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line = line.substr(0, hash);
     line = Trim(line);
     if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(line_number) + ": ";
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) return fail("expected key = value");
-    const std::string key = Trim(line.substr(0, eq));
-    const std::string value = Trim(line.substr(eq + 1));
-    if (key == "datasets") {
-      config.datasets = SplitList(value);
-    } else if (key == "methods") {
-      config.methods = SplitList(value);
-    } else if (key == "horizons") {
-      config.horizons.clear();
-      for (const std::string& h : SplitList(value)) {
-        const long v = std::strtol(h.c_str(), nullptr, 10);
-        if (v <= 0) return fail("bad horizon: " + h);
-        config.horizons.push_back(static_cast<std::size_t>(v));
-      }
-    } else if (key == "metrics") {
-      config.metrics.clear();
-      for (const std::string& m : SplitList(value)) {
-        const auto metric = MetricFromName(m);
-        if (!metric) return fail("unknown metric: " + m);
-        config.metrics.push_back(*metric);
-      }
-    } else if (key == "strategy") {
-      // Accepted for existing configs; BuildTasks only knows one protocol.
-      if (value != "rolling") {
-        return fail("strategy must be rolling: the pipeline runs the "
-                    "rolling strategy only");
-      }
-    } else if (key == "scaler") {
-      if (value == "zscore") {
-        config.scaler = ts::ScalerKind::kZScore;
-      } else if (value == "minmax") {
-        config.scaler = ts::ScalerKind::kMinMax;
-      } else if (value == "none") {
-        config.scaler = ts::ScalerKind::kNone;
-      } else {
-        return fail("unknown scaler: " + value);
-      }
-    } else if (key == "max_windows") {
-      config.max_windows = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "stride") {
-      config.stride = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "drop_last") {
-      if (!ParseBool(value, &config.drop_last)) return fail("bad bool");
-    } else if (key == "hyper_search") {
-      if (!ParseBool(value, &config.hyper_search)) return fail("bad bool");
-    } else if (key == "train_epochs") {
-      config.train_epochs = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-    } else if (key == "seed") {
-      config.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "num_threads") {
-      config.num_threads = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "kernel") {
-      if (value != "scalar" && value != "avx2" && value != "neon") {
-        return fail("kernel must be scalar, avx2, or neon");
-      }
-      config.kernel = value;
-    } else if (key == "max_length") {
-      config.max_length = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "max_dim") {
-      config.max_dim = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "deadline_seconds") {
-      char* end = nullptr;
-      config.deadline_seconds = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || config.deadline_seconds < 0.0) {
-        return fail("bad deadline_seconds: " + value);
-      }
-    } else if (key == "max_retries") {
-      config.max_retries = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "retry_backoff_ms") {
-      char* end = nullptr;
-      config.retry_backoff_ms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || config.retry_backoff_ms < 0.0) {
-        return fail("bad retry_backoff_ms: " + value);
-      }
-    } else if (key == "retry_backoff_max_ms") {
-      char* end = nullptr;
-      config.retry_backoff_max_ms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || config.retry_backoff_max_ms < 0.0) {
-        return fail("bad retry_backoff_max_ms: " + value);
-      }
-    } else if (key == "workers") {
-      config.workers = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "shard_size") {
-      config.shard_size = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "transport") {
-      if (value != "socketpair" && value != "tcp") {
-        return fail("transport must be socketpair or tcp");
-      }
-      config.transport = value;
-    } else if (key == "listen") {
-      const std::size_t colon = value.find_last_of(':');
-      std::string host = value;
-      std::string port_text;
-      if (colon != std::string::npos) {
-        host = value.substr(0, colon);
-        port_text = value.substr(colon + 1);
-      }
-      if (host.empty()) return fail("bad listen endpoint: " + value);
-      config.listen_host = host;
-      if (!port_text.empty()) {
-        char* end = nullptr;
-        const long port = std::strtol(port_text.c_str(), &end, 10);
-        if (*end != '\0' || port < 0 || port > 65535) {
-          return fail("bad listen port: " + port_text);
-        }
-        config.listen_port = static_cast<std::size_t>(port);
-      }
-    } else if (key == "external_workers") {
-      if (!ParseBool(value, &config.external_workers)) return fail("bad bool");
-    } else if (key == "chaos_net") {
-      std::string chaos_error;
-      if (!ParseFaultPlan(value, &chaos_error)) {
-        return fail("bad chaos_net: " + chaos_error);
-      }
-      config.chaos_net = value;
-    } else if (key == "fallback") {
-      config.fallback = value;
-    } else if (key == "journal") {
-      config.journal = value;
-    } else if (key == "journal_fsync") {
-      if (!ParseBool(value, &config.journal_fsync)) return fail("bad bool");
-    } else if (key == "isolation") {
-      if (value == "process") {
-        config.isolation = Isolation::kProcess;
-      } else if (value == "in_process") {
-        config.isolation = Isolation::kInProcess;
-      } else {
-        return fail("isolation must be in_process or process");
-      }
-    } else if (key == "trace_out") {
-      config.trace_out = value;
-    } else if (key == "metrics_out") {
-      config.metrics_out = value;
-    } else if (key == "log_level") {
-      const auto level = obs::ParseLogLevel(value);
-      if (!level) return fail("unknown log_level: " + value);
-      config.log_level = *level;
-    } else if (key == "log_json") {
-      config.log_json = value;
-    } else if (key == "progress") {
-      const auto mode = obs::ParseProgressMode(value);
-      if (!mode) return fail("progress must be auto, bar, plain, or off");
-      config.progress = *mode;
-    } else if (key == "serve") {
-      const long port = std::strtol(value.c_str(), nullptr, 10);
-      if (port < 0 || port > 65535) return fail("bad serve port: " + value);
-      config.serve_port = static_cast<std::size_t>(port);
-    } else if (key == "memory_limit_mb") {
-      config.memory_limit_mb = std::strtoul(value.c_str(), nullptr, 10);
-    } else if (key == "cpu_limit_seconds") {
-      char* end = nullptr;
-      config.cpu_limit_seconds = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || config.cpu_limit_seconds < 0.0) {
-        return fail("bad cpu_limit_seconds: " + value);
-      }
-    } else {
-      return fail("unknown key: " + key);
-    }
+    if (eq == std::string::npos) return fail(where + "expected key = value");
+    const std::string message = ApplyKey(Trim(line.substr(0, eq)),
+                                         Trim(line.substr(eq + 1)), &config);
+    if (!message.empty()) return fail(where + message);
   }
-  // Validate method and dataset names against the registries up front.
+  // `--key=value` is the line `key = value`, `-` standing for `_`; a bare
+  // `--key` means `key = true`.
+  for (const std::string& flag : flags) {
+    if (flag.rfind("--", 0) != 0) return fail(flag + ": expected --key=value");
+    const std::size_t eq = flag.find('=');
+    std::string key = flag.substr(2, eq == std::string::npos ? eq : eq - 2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    const std::string value =
+        eq == std::string::npos ? "true" : Trim(flag.substr(eq + 1));
+    const std::string message = ApplyKey(key, value, &config);
+    if (!message.empty()) return fail(flag + ": " + message);
+  }
+  // Method, dataset and fallback names are checked once, after the flags.
   for (const std::string& method : config.methods) {
-    if (!MethodParadigm(method)) {
-      line_number = 0;
-      return fail("unknown method: " + method);
-    }
+    if (!MethodParadigm(method)) return fail("unknown method: " + method);
   }
   for (const std::string& dataset : config.datasets) {
     if (!datagen::FindProfile(dataset)) {
-      line_number = 0;
       return fail("unknown dataset: " + dataset);
     }
   }
   if (!config.fallback.empty() && !MethodParadigm(config.fallback)) {
-    line_number = 0;
     return fail("unknown fallback method: " + config.fallback);
   }
   return config;
 }
 
-std::optional<BenchmarkConfig> LoadConfigFile(const std::string& path,
-                                              std::string* error) {
+std::optional<BenchmarkConfig> LoadConfigFile(
+    const std::string& path, std::string* error,
+    const std::vector<std::string>& flags) {
   std::ifstream is(path);
   if (!is) {
     if (error != nullptr) *error = "cannot open " + path;
@@ -264,7 +289,7 @@ std::optional<BenchmarkConfig> LoadConfigFile(const std::string& path,
   }
   std::ostringstream buffer;
   buffer << is.rdbuf();
-  return ParseConfig(buffer.str(), error);
+  return ParseConfig(buffer.str(), error, flags);
 }
 
 std::string ConfigToString(const BenchmarkConfig& config) {
@@ -367,6 +392,23 @@ RunnerOptions BenchmarkConfig::MakeRunnerOptions() const {
   options.memory_limit_mb = memory_limit_mb;
   options.cpu_limit_seconds = cpu_limit_seconds;
   options.progress = progress;
+  return options;
+}
+
+ShardOptions BenchmarkConfig::MakeShardOptions() const {
+  ShardOptions options;
+  options.num_workers = workers;
+  options.shard_size = shard_size;
+  if (transport == "tcp") {
+    options.transport = ShardTransport::kTcp;
+    options.spawn_workers = !external_workers;
+  }
+  options.listen_host = listen_host;
+  options.listen_port = static_cast<std::uint16_t>(listen_port);
+  // ParseConfig rejected any spec that does not parse.
+  if (const auto plan = ParseFaultPlan(chaos_net, nullptr)) {
+    options.chaos = *plan;
+  }
   return options;
 }
 

@@ -9,6 +9,7 @@
 #include "tfb/eval/strategy.h"
 #include "tfb/obs/log.h"
 #include "tfb/pipeline/runner.h"
+#include "tfb/pipeline/shard.h"
 
 namespace tfb::pipeline {
 
@@ -17,7 +18,9 @@ namespace tfb::pipeline {
 /// file that can be customized by users"). Text format: one `key = value`
 /// per line, `#` comments, with `datasets`, `methods`, `horizons` and
 /// `metrics` as comma-separated lists. `strategy = rolling` is accepted
-/// for older configs; it is the only protocol the pipeline runs.
+/// for older configs; it is the only protocol the pipeline runs. Every key
+/// is also a `tfb_run` flag: `--max-windows=3` is the line `max_windows = 3`
+/// (see ParseConfig).
 ///
 /// Example:
 ///   # my_run.conf
@@ -61,9 +64,9 @@ struct BenchmarkConfig {
   /// RunnerOptions::retry_backoff_max_ms).
   double retry_backoff_max_ms = 30000.0;
   /// Sharded multi-process execution ("workers = 4" / `--workers=N`): the
-  /// grid runs across this many worker processes under the crash-tolerant
-  /// shard coordinator (see tfb/pipeline/shard.h). 0 = in-process execution
-  /// by the plain BenchmarkRunner (the default).
+  /// grid runs across this many worker processes (at most 256) under the
+  /// crash-tolerant shard coordinator (see tfb/pipeline/shard.h). 0 =
+  /// in-process execution by the plain BenchmarkRunner (the default).
   std::size_t workers = 0;
   /// Tasks per shard under sharded execution; 0 = auto-sized.
   std::size_t shard_size = 0;
@@ -115,16 +118,26 @@ struct BenchmarkConfig {
   /// The runner options this configuration implies (resume stays false; it
   /// is a command-line decision, not a config-file one).
   RunnerOptions MakeRunnerOptions() const;
+  /// The shard options this configuration implies: `workers`, `shard_size`,
+  /// `transport`, `listen`, `external_workers` and `chaos_net`.
+  ShardOptions MakeShardOptions() const;
 };
 
-/// Parses a configuration from text. Unknown keys are reported in `error`
-/// (typo protection); returns nullopt on malformed input.
-std::optional<BenchmarkConfig> ParseConfig(const std::string& text,
-                                           std::string* error = nullptr);
+/// Parses a configuration from text, then applies the command-line `flags`
+/// in order: `--key=value` is the line `key = value` (a `-` in the key
+/// stands for `_`), and a bare `--key` means `key = true`. Integer keys take
+/// digits only; real keys take one number and nothing after it. Method,
+/// dataset and fallback names are checked against the registries once,
+/// after the flags. Returns nullopt on malformed input, with the offending
+/// line or flag in `error` (unknown keys included: typo protection).
+std::optional<BenchmarkConfig> ParseConfig(
+    const std::string& text, std::string* error = nullptr,
+    const std::vector<std::string>& flags = {});
 
-/// Loads and parses a configuration file.
-std::optional<BenchmarkConfig> LoadConfigFile(const std::string& path,
-                                              std::string* error = nullptr);
+/// Loads a configuration file and parses it as ParseConfig does.
+std::optional<BenchmarkConfig> LoadConfigFile(
+    const std::string& path, std::string* error = nullptr,
+    const std::vector<std::string>& flags = {});
 
 /// Serializes a configuration back to its text form.
 std::string ConfigToString(const BenchmarkConfig& config);

@@ -206,8 +206,6 @@ std::vector<ResultRow> ShardCoordinator::Run(
     cfg.fault_kill_after_tasks = shard_options_.fault_kill_after_tasks;
     cfg.fault_kill_signal = shard_options_.fault_kill_signal;
     cfg.heartbeat_seconds = shard_options_.heartbeat_seconds;
-    cfg.retry_backoff_ms = runner_options_.retry_backoff_ms;
-    cfg.retry_backoff_max_ms = runner_options_.retry_backoff_max_ms;
     cfg.chaos = shard_options_.chaos;
     return cfg;
   };
@@ -291,8 +289,8 @@ std::vector<ResultRow> ShardCoordinator::Run(
           break;
         }
         case ShardAction::Kind::kStopListening:
-          // A worker mid-reconnect then fails fast (ECONNREFUSED) and exits
-          // on its own connect budget instead of lingering.
+          // A worker mid-reconnect then gets ECONNREFUSED and exits at
+          // once instead of lingering.
           if (listener_ != nullptr) listener_.reset();
           break;
         case ShardAction::Kind::kTaskStarted:

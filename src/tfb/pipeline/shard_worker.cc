@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -23,6 +24,13 @@ namespace tfb::pipeline {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// TCP connect backoff: attempt k sleeps kConnectBackoffMs * 2^(k-1), capped
+// at kConnectBackoffMaxMs; kMaxConnectFailures failures in a row end the
+// worker.
+constexpr double kConnectBackoffMs = 50.0;
+constexpr double kConnectBackoffMaxMs = 2000.0;
+constexpr std::size_t kMaxConnectFailures = 10;
 
 /// Why one connection's protocol loop ended.
 enum class SessionEnd {
@@ -393,34 +401,36 @@ int RunSocketpairWorker(int fd, const WorkerLoopConfig& config,
 int RunTcpShardWorker(const TcpWorkerOptions& options) {
   std::signal(SIGINT, SIG_IGN);
   std::signal(SIGTERM, SIG_DFL);
-  const double backoff_base = options.loop.retry_backoff_ms > 0.0
-                                  ? options.loop.retry_backoff_ms
-                                  : 50.0;
-  const double backoff_cap = options.loop.retry_backoff_max_ms > 0.0
-                                 ? options.loop.retry_backoff_max_ms
-                                 : 2000.0;
   ShardWorker worker(options.loop, nullptr);
   std::size_t consecutive_failures = 0;
   std::uint64_t connection_id = 0;
-  while (consecutive_failures < options.loop.max_connect_failures) {
+  while (consecutive_failures < kMaxConnectFailures) {
     std::string error;
     std::unique_ptr<Transport> transport =
         TcpConnect(options.host, options.port, &error);
     if (transport == nullptr) {
+      if (connection_id > 0 && errno == ECONNREFUSED) {
+        // The coordinator stopped listening: it is shutting down, and
+        // waiting out a backoff would only hold it up.
+        obs::DefaultLogger().Info(
+            "reconnect refused; coordinator gone",
+            {{"host", options.host}, {"port", std::to_string(options.port)}});
+        return 1;
+      }
       ++consecutive_failures;
-      double delay = backoff_base;
+      double delay = kConnectBackoffMs;
       for (std::size_t k = 1; k < consecutive_failures; ++k) {
         delay *= 2.0;
-        if (delay >= backoff_cap) break;
+        if (delay >= kConnectBackoffMaxMs) break;
       }
-      delay = std::min(delay, backoff_cap);
+      delay = std::min(delay, kConnectBackoffMaxMs);
       obs::DefaultLogger().Warn(
           "connect failed; backing off",
           {{"host", options.host},
            {"port", std::to_string(options.port)},
            {"error", error},
            {"attempt", std::to_string(consecutive_failures)},
-           {"of", std::to_string(options.loop.max_connect_failures)},
+           {"of", std::to_string(kMaxConnectFailures)},
            {"backoff_ms", std::to_string(delay)}});
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(delay));
@@ -456,15 +466,15 @@ int RunTcpShardWorker(const TcpWorkerOptions& options) {
         "connection lost; reconnecting",
         {{"host", options.host},
          {"port", std::to_string(options.port)},
-         {"backoff_ms", std::to_string(backoff_base)}});
+         {"backoff_ms", std::to_string(kConnectBackoffMs)}});
     std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff_base));
+        std::chrono::duration<double, std::milli>(kConnectBackoffMs));
   }
   obs::DefaultLogger().Error(
       "connect budget exhausted; giving up",
       {{"host", options.host},
        {"port", std::to_string(options.port)},
-       {"failures", std::to_string(options.loop.max_connect_failures)}});
+       {"failures", std::to_string(kMaxConnectFailures)}});
   return 1;  // Connect budget exhausted; the coordinator fences our lease.
 }
 

@@ -25,13 +25,16 @@
 ///              DONE "<epoch> <shard>", HEARTBEAT "<epoch>" (side thread)
 ///   coord   -> QUIT
 ///
-/// A TCP worker that loses its connection reconnects with capped
-/// exponential backoff, re-sends HELLO carrying the previous lease epoch,
-/// replays the retained ROW frames of its unfinished shard (still tagged
-/// with the old epoch — the coordinator fences them, proving the lease
-/// machinery), abandons that shard, and waits for fresh grants. A
-/// socketpair worker cannot reconnect; a lost socket means the coordinator
-/// is gone and the worker exits.
+/// A TCP worker that loses its connection reconnects, re-sends HELLO
+/// carrying the previous lease epoch, replays the retained ROW frames of its
+/// unfinished shard (still tagged with the old epoch — the coordinator
+/// fences them, proving the lease machinery), abandons that shard, and
+/// waits for fresh grants. A refused reconnect means the coordinator has
+/// stopped listening (it is shutting down), so the worker exits at once.
+/// Other connect failures, and every failure before the first connection,
+/// are retried with exponential backoff (50 ms doubling to a 2 s cap) until
+/// 10 attempts in a row have failed. A socketpair worker cannot reconnect;
+/// a lost socket means the coordinator is gone and the worker exits.
 
 namespace tfb::pipeline {
 
@@ -49,14 +52,6 @@ struct WorkerLoopConfig {
 
   /// Fallback heartbeat period until WELCOME overrides it.
   double heartbeat_seconds = 0.25;
-
-  /// Reconnect backoff (TCP): attempt k sleeps base * 2^(k-1), capped.
-  /// 0 picks the defaults (50 ms base, 2 s cap) — the same knob family as
-  /// RunnerOptions::retry_backoff_*.
-  double retry_backoff_ms = 0.0;
-  double retry_backoff_max_ms = 0.0;
-  /// Consecutive failed connect attempts before the worker gives up.
-  std::size_t max_connect_failures = 10;
 
   /// Deterministic send-path fault injection (chaos tests / --chaos-net).
   FaultPlan chaos;
@@ -79,8 +74,8 @@ struct TcpWorkerOptions {
 
 /// Connects (with backoff), runs the worker protocol, reconnects on
 /// connection loss, and returns the process exit code: 0 after QUIT, 1
-/// when the connect budget is exhausted. Tasks arrive via TASK frames —
-/// nothing is inherited.
+/// when the coordinator is gone (a reconnect refused, or the connect budget
+/// exhausted). Tasks arrive via TASK frames — nothing is inherited.
 int RunTcpShardWorker(const TcpWorkerOptions& options);
 
 }  // namespace tfb::pipeline

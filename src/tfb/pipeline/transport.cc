@@ -213,11 +213,13 @@ std::unique_ptr<Transport> TcpConnect(const std::string& host,
     rc = connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   } while (rc != 0 && errno == EINTR);
   if (rc != 0) {
+    const int connect_errno = errno;
     if (error != nullptr) {
       *error = "connect " + host + ":" + std::to_string(port) + ": " +
-               strerror(errno);
+               strerror(connect_errno);
     }
     close(fd);
+    errno = connect_errno;
     return nullptr;
   }
   const int one = 1;

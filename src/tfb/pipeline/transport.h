@@ -127,7 +127,9 @@ class Transport {
 /// socketpair, or an accepted/connected TCP socket). Takes ownership.
 std::unique_ptr<Transport> MakeFdTransport(int fd, std::string describe);
 
-/// Connects to a TCP endpoint; nullptr (with *error set) on failure.
+/// Connects to a TCP endpoint; nullptr (with *error set) on failure. When
+/// connect() itself failed, errno holds its error on return (ECONNREFUSED:
+/// nothing listens on the port).
 std::unique_ptr<Transport> TcpConnect(const std::string& host,
                                       std::uint16_t port, std::string* error);
 

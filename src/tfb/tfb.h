@@ -28,7 +28,6 @@
 #include "tfb/eval/metrics.h"
 #include "tfb/eval/strategy.h"
 #include "tfb/methods/dl/dl_forecasters.h"
-#include "tfb/methods/fault_injection.h"
 #include "tfb/methods/forecaster.h"
 #include "tfb/methods/guarded_forecaster.h"
 #include "tfb/methods/ml/gradient_boosting.h"

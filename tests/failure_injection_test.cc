@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "fault_injection.h"
 #include "tfb/tfb.h"
 
 namespace tfb {

@@ -1,4 +1,4 @@
-#include "tfb/methods/fault_injection.h"
+#include "fault_injection.h"
 
 #include <chrono>
 #include <csignal>

@@ -1,5 +1,5 @@
-#ifndef TFB_METHODS_FAULT_INJECTION_H_
-#define TFB_METHODS_FAULT_INJECTION_H_
+#ifndef TFB_TESTS_FAULT_INJECTION_H_
+#define TFB_TESTS_FAULT_INJECTION_H_
 
 #include <memory>
 #include <string>
@@ -73,4 +73,4 @@ ForecasterFactory MakeFaultyFactory(FaultSpec spec);
 
 }  // namespace tfb::methods
 
-#endif  // TFB_METHODS_FAULT_INJECTION_H_
+#endif  // TFB_TESTS_FAULT_INJECTION_H_

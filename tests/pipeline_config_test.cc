@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "tfb/pipeline/config.h"
 
@@ -193,6 +195,129 @@ TEST(Config, TelemetryKeysRoundTripAndReachRunnerOptions) {
 
   // The progress mode is what the runner consumes.
   EXPECT_EQ(config->MakeRunnerOptions().progress, obs::ProgressMode::kOff);
+}
+
+TEST(Config, IntegerKeysTakeDigitsOnly) {
+  const char* keys[] = {"max_windows", "stride",      "train_epochs",
+                        "seed",        "num_threads", "max_length",
+                        "max_dim",     "max_retries", "workers",
+                        "shard_size",  "serve",       "memory_limit_mb"};
+  for (const char* key : keys) {
+    for (const char* value : {"-1", "+1", "5abc", "abc", "", "1.5", "1 2",
+                              "99999999999999999999"}) {
+      std::string error;
+      EXPECT_FALSE(
+          ParseConfig(std::string(key) + " = " + value + "\n", &error))
+          << key << " = " << value;
+      EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+    std::string error;
+    EXPECT_TRUE(ParseConfig(std::string(key) + " = 3\n", &error)) << error;
+  }
+  std::string error;
+  EXPECT_FALSE(ParseConfig("horizons = 12, 24x\n", &error));
+  EXPECT_FALSE(ParseConfig("horizons = -12\n", &error));
+  EXPECT_FALSE(ParseConfig("horizons = 0\n", &error));
+  EXPECT_FALSE(ParseConfig("listen = 127.0.0.1:80abc\n", &error));
+  EXPECT_FALSE(ParseConfig("listen = 127.0.0.1:-1\n", &error));
+  EXPECT_FALSE(ParseConfig("train_epochs = 2147483648\n", &error));
+  const auto seed = ParseConfig("seed = 18446744073709551615\n", &error);
+  ASSERT_TRUE(seed) << error;
+  EXPECT_EQ(seed->seed, 18446744073709551615ull);
+}
+
+TEST(Config, RealKeysRejectTrailingText) {
+  for (const char* key : {"deadline_seconds", "retry_backoff_ms",
+                          "retry_backoff_max_ms", "cpu_limit_seconds"}) {
+    for (const char* value : {"1.5s", "abc", "", "-1", "nan", "1e999"}) {
+      std::string error;
+      EXPECT_FALSE(
+          ParseConfig(std::string(key) + " = " + value + "\n", &error))
+          << key << " = " << value;
+      EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+    std::string error;
+    EXPECT_TRUE(ParseConfig(std::string(key) + " = 2.5\n", &error)) << error;
+  }
+}
+
+TEST(Config, WorkersAreCappedAlikeInTheFileAndOnTheCommandLine) {
+  std::string error;
+  const auto most = ParseConfig("workers = 256\n", &error);
+  ASSERT_TRUE(most) << error;
+  EXPECT_EQ(most->workers, 256u);
+  std::string file_error;
+  EXPECT_FALSE(ParseConfig("workers = 257\n", &file_error));
+  std::string flag_error;
+  EXPECT_FALSE(ParseConfig("", &flag_error, {"--workers=257"}));
+  EXPECT_EQ(file_error, "line 1: bad workers (0 to 256): 257");
+  EXPECT_EQ(flag_error, "--workers=257: bad workers (0 to 256): 257");
+  EXPECT_FALSE(ParseConfig("", &flag_error, {"--workers=-1"}));
+  EXPECT_FALSE(ParseConfig("workers = -1\n", &file_error));
+}
+
+TEST(Config, FlagsApplyAfterTheFileInOrder) {
+  std::string error;
+  const auto config = ParseConfig(
+      "seed = 1\nmax_windows = 2\nmethods = NotAMethod\n", &error,
+      {"--seed=5", "--max-windows=3", "--seed=6", "--methods=VAR",
+       "--external-workers", "--chaos-net=drop=0.1,seed=3",
+       "--listen=0.0.0.0:9000"});
+  ASSERT_TRUE(config) << error;
+  EXPECT_EQ(config->seed, 6u);
+  EXPECT_EQ(config->max_windows, 3u);
+  // Registry names are checked once, after the flags.
+  EXPECT_EQ(config->methods, (std::vector<std::string>{"VAR"}));
+  EXPECT_TRUE(config->external_workers);
+  EXPECT_EQ(config->chaos_net, "drop=0.1,seed=3");
+  EXPECT_EQ(config->listen_host, "0.0.0.0");
+  EXPECT_EQ(config->listen_port, 9000u);
+
+  EXPECT_FALSE(ParseConfig("seed = 1\n", &error, {"--bogus-key=1"}));
+  EXPECT_EQ(error, "--bogus-key=1: unknown key: bogus_key");
+  EXPECT_FALSE(ParseConfig("", &error, {"--serve=80abc"}));
+  EXPECT_FALSE(ParseConfig("", &error, {"--drop-last=maybe"}));
+  EXPECT_FALSE(ParseConfig("", &error, {"seed=1"}));
+}
+
+TEST(Config, EveryKeyAsAFlagGivesTheSameConfig) {
+  // Every key away from its default, so ConfigToString prints them all.
+  std::string error;
+  const auto full = ParseConfig(
+      "datasets = ILI, ETTh2\nmethods = VAR, NLinear\nhorizons = 8, 16\n"
+      "metrics = mse, smape\nscaler = minmax\nmax_windows = 3\nstride = 2\n"
+      "drop_last = true\nhyper_search = true\ntrain_epochs = 4\nseed = 9\n"
+      "num_threads = 3\nkernel = scalar\nmax_length = 500\nmax_dim = 4\n"
+      "deadline_seconds = 2.5\nmax_retries = 2\nretry_backoff_ms = 5\n"
+      "retry_backoff_max_ms = 40\nworkers = 3\nshard_size = 2\n"
+      "transport = tcp\nlisten = 0.0.0.0:9000\nexternal_workers = true\n"
+      "chaos_net = drop=0.1,partition,seed=3\nfallback = Naive\n"
+      "journal = j.jsonl\njournal_fsync = true\nisolation = process\n"
+      "memory_limit_mb = 512\ncpu_limit_seconds = 1.5\n"
+      "trace_out = t.json\nmetrics_out = m.prom\nlog_level = debug\n"
+      "log_json = l.jsonl\nprogress = plain\nserve = 9100\n",
+      &error);
+  ASSERT_TRUE(full) << error;
+  const std::string text = ConfigToString(*full);
+  std::string defaults = "\n";  // Every line of it sits between newlines.
+  defaults += ConfigToString(BenchmarkConfig{});
+
+  std::vector<std::string> flags;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t eq = line.find(" = ");
+    ASSERT_NE(eq, std::string::npos) << line;
+    std::string key = line.substr(0, eq);
+    const std::string value = line.substr(eq + 3);
+    // The flag spelling: `-` for `_`, and a bare flag for true.
+    std::replace(key.begin(), key.end(), '_', '-');
+    flags.push_back(value == "true" ? "--" + key : "--" + key + "=" + value);
+    EXPECT_EQ(defaults.find("\n" + line + "\n"), std::string::npos)
+        << "left at its default: " << line;
+  }
+  const auto from_flags = ParseConfig("", &error, flags);
+  ASSERT_TRUE(from_flags) << error;
+  EXPECT_EQ(ConfigToString(*from_flags), text);
 }
 
 TEST(Config, MetricFromName) {
