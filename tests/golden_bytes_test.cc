@@ -218,6 +218,26 @@ TEST(GoldenBytes, XgbModelEnvelope) {
   EXPECT_EQ(Crc(bytes), 0xfcd21f5eu);
 }
 
+// Fitted deep-learning envelopes hold every trained weight, so they pin the
+// forward and backward passes and every GEMM they run, bit for bit.
+TEST(GoldenBytes, TcnModelEnvelope) {
+  const std::string bytes = ModelEnvelope("TCN", 0, QuantizedSeries());
+  EXPECT_EQ(bytes.size(), 13825u);
+  EXPECT_EQ(Crc(bytes), 0x68bbb0c8u);
+}
+
+TEST(GoldenBytes, MlpModelEnvelope) {
+  const std::string bytes = ModelEnvelope("MLP", 0, QuantizedSeries());
+  EXPECT_EQ(bytes.size(), 40161u);
+  EXPECT_EQ(Crc(bytes), 0x9d422ce7u);
+}
+
+TEST(GoldenBytes, NBeatsModelEnvelope) {
+  const std::string bytes = ModelEnvelope("N-BEATS", 0, QuantizedSeries());
+  EXPECT_EQ(bytes.size(), 132869u);
+  EXPECT_EQ(Crc(bytes), 0xd895522fu);
+}
+
 TEST(GoldenBytes, JournalLine) {
   pipeline::ResultRow row;
   row.dataset = "ILI";
