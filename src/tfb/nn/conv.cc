@@ -1,5 +1,6 @@
 #include "tfb/nn/conv.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tfb/base/check.h"
@@ -10,7 +11,7 @@ CausalConvStack::CausalConvStack(std::size_t seq_len, std::size_t channels,
                                  std::vector<std::size_t> dilations,
                                  std::size_t kernel, stats::Rng& rng)
     : seq_len_(seq_len), channels_(channels), kernel_(kernel) {
-  TFB_CHECK(!dilations.empty() && kernel >= 1);
+  TFB_CHECK(seq_len >= 1 && !dilations.empty() && kernel >= 1);
   std::size_t in_channels = 1;
   for (std::size_t d : dilations) {
     const double scale =
@@ -24,25 +25,46 @@ CausalConvStack::CausalConvStack(std::size_t seq_len, std::size_t channels,
                             in_channels, d, in_channels == channels});
     in_channels = channels;
   }
+  // Walk down from the top layer's last step: a layer needs every input
+  // step that a needed output step reads, and that input is the output of
+  // the layer below.
+  positions_.resize(layers_.size());
+  std::vector<bool> needed(seq_len_, false);
+  needed[seq_len_ - 1] = true;
+  for (std::size_t li = layers_.size(); li-- > 0;) {
+    for (std::size_t t = 0; t < seq_len_; ++t) {
+      if (needed[t]) positions_[li].push_back(t);
+    }
+    std::fill(needed.begin(), needed.end(), false);
+    for (std::size_t t : positions_[li]) {
+      for (std::size_t j = 0; j < kernel_; ++j) {
+        if (j * layers_[li].dilation <= t) {
+          needed[t - j * layers_[li].dilation] = true;
+        }
+      }
+    }
+  }
 }
 
 linalg::Matrix CausalConvStack::Forward(const linalg::Matrix& x, bool) {
   TFB_CHECK(x.cols() == seq_len_);
   const std::size_t batch = x.rows();
-  inputs_cache_.clear();
+  inputs_cache_.assign(1, x);  // first layer Cin=1
   preact_cache_.clear();
 
-  linalg::Matrix current = x;  // (B x in_channels*L), first layer Cin=1
-  for (const Layer& layer : layers_) {
-    inputs_cache_.push_back(current);
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const Layer& layer = layers_[li];
+    const linalg::Matrix& current = inputs_cache_.back();
     linalg::Matrix pre(batch, channels_ * seq_len_);
+    linalg::Matrix activated(batch, channels_ * seq_len_);
     for (std::size_t b = 0; b < batch; ++b) {
       const double* in = current.row(b);
       double* out = pre.row(b);
+      double* act = activated.row(b);
       for (std::size_t co = 0; co < channels_; ++co) {
         const double* w = layer.weight.value.row(co);
         const double bias = layer.bias.value(0, co);
-        for (std::size_t t = 0; t < seq_len_; ++t) {
+        for (std::size_t t : positions_[li]) {
           double sum = bias;
           for (std::size_t ci = 0; ci < layer.in_channels; ++ci) {
             for (std::size_t j = 0; j < kernel_; ++j) {
@@ -54,27 +76,25 @@ linalg::Matrix CausalConvStack::Forward(const linalg::Matrix& x, bool) {
             }
           }
           out[co * seq_len_ + t] = sum;
+          // ReLU + residual.
+          double a = sum < 0.0 ? 0.0 : sum;
+          if (layer.residual) a += in[co * seq_len_ + t];
+          act[co * seq_len_ + t] = a;
         }
       }
     }
-    preact_cache_.push_back(pre);
-    // ReLU + residual.
-    linalg::Matrix activated = pre;
-    for (std::size_t i = 0; i < activated.size(); ++i) {
-      if (activated.data()[i] < 0.0) activated.data()[i] = 0.0;
-    }
-    if (layer.residual) activated += current;
-    current = std::move(activated);
+    preact_cache_.push_back(std::move(pre));
+    inputs_cache_.push_back(std::move(activated));  // next layer's input
   }
 
   // Final features: last time-step values of every channel.
+  const linalg::Matrix& top = inputs_cache_.back();
   linalg::Matrix out(batch, channels_);
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      out(b, c) = current(b, c * seq_len_ + seq_len_ - 1);
+      out(b, c) = top(b, c * seq_len_ + seq_len_ - 1);
     }
   }
-  inputs_cache_.push_back(std::move(current));  // post-stack activations
   return out;
 }
 
@@ -88,31 +108,31 @@ linalg::Matrix CausalConvStack::Backward(const linalg::Matrix& grad_output) {
     }
   }
 
+  // The gradient is zero at every step outside positions_[li], so only
+  // those are visited.
   for (std::size_t li = layers_.size(); li-- > 0;) {
     Layer& layer = layers_[li];
     const linalg::Matrix& pre = preact_cache_[li];
     const linalg::Matrix& input = inputs_cache_[li];
 
     // Residual passes gradient straight through to the layer input.
-    linalg::Matrix grad_input(batch, layer.in_channels * seq_len_);
-    if (layer.residual) grad_input = grad;
-
-    // ReLU mask on the conv path.
-    linalg::Matrix grad_pre = grad;
-    for (std::size_t i = 0; i < grad_pre.size(); ++i) {
-      if (pre.data()[i] <= 0.0) grad_pre.data()[i] = 0.0;
-    }
+    linalg::Matrix grad_input =
+        layer.residual ? grad
+                       : linalg::Matrix(batch, layer.in_channels * seq_len_);
 
     for (std::size_t b = 0; b < batch; ++b) {
       const double* in = input.row(b);
-      const double* gp = grad_pre.row(b);
+      const double* pr = pre.row(b);
+      const double* gr = grad.row(b);
       double* gi = grad_input.row(b);
       for (std::size_t co = 0; co < channels_; ++co) {
         const double* w = layer.weight.value.row(co);
         double* gw = layer.weight.grad.row(co);
         double gb = 0.0;
-        for (std::size_t t = 0; t < seq_len_; ++t) {
-          const double g = gp[co * seq_len_ + t];
+        for (std::size_t t : positions_[li]) {
+          // ReLU mask on the conv path.
+          const std::size_t at = co * seq_len_ + t;
+          const double g = pr[at] <= 0.0 ? 0.0 : gr[at];
           if (g == 0.0) continue;
           gb += g;
           for (std::size_t ci = 0; ci < layer.in_channels; ++ci) {

@@ -10,6 +10,14 @@ namespace tfb::nn {
 /// MICN-family forecaster). Input is a batch of scalar windows (B x L);
 /// output is the feature vector at the final time step (B x channels),
 /// which a Dense head maps to the forecast.
+///
+/// Only the final step is read, so each layer computes only the time steps
+/// in that step's receptive field: the top layer one step, and each layer
+/// below the steps its upper neighbour reads (at most `kernel` times as
+/// many). Every other step of the cached activations stays zero, and so
+/// does its gradient, which Backward therefore skips. Each computed value
+/// is summed in the same order as a full-sequence pass, so the results are
+/// bit-identical to one.
 class CausalConvStack : public Module {
  public:
   /// `dilations` gives one layer per entry (e.g. {1, 2, 4, 8}); the
@@ -35,9 +43,12 @@ class CausalConvStack : public Module {
   std::size_t channels_;
   std::size_t kernel_;
   std::vector<Layer> layers_;
+  // positions_[li]: ascending time steps of layer li's output that the
+  // top layer's final step depends on. Fixed by the shape, so built once.
+  std::vector<std::vector<std::size_t>> positions_;
 
-  // Caches: per-layer input (B x in_channels*L) and pre-activation
-  // (B x channels*L).
+  // Caches: per-layer input (B x in_channels*L), then the top activations,
+  // and per-layer pre-activation (B x channels*L).
   std::vector<linalg::Matrix> inputs_cache_;
   std::vector<linalg::Matrix> preact_cache_;
 };

@@ -153,6 +153,14 @@ TEST(GradCheck, CausalConvStack) {
   CheckGradients(layer, x, 1e-4);
 }
 
+// Four layers over a non-power-of-two window: the lower layers compute only
+// part of the sequence, and the widest dilation reaches past its start.
+TEST(GradCheck, DeepCausalConvStack) {
+  stats::Rng rng(19);
+  nn::CausalConvStack layer(13, 3, {1, 2, 4, 8}, 3, rng);
+  CheckGradients(layer, RandomInput(2, 13, 20), 1e-4);
+}
+
 TEST(GradCheck, DLinearNet) {
   stats::Rng rng(15);
   nn::DLinearNet net(12, 4, 5, rng);
