@@ -28,9 +28,6 @@ constexpr std::size_t kKc = 256;
 constexpr std::size_t kMc = 64;
 constexpr std::size_t kNc = 1024;
 
-// Below this flop volume the packing + dispatch overhead of the blocked
-// path outweighs its cache wins; run the plain fast path instead.
-constexpr std::size_t kSmallProduct = 64 * 64 * 64;
 // Minimum output rows per thread-pool chunk: enough that per-chunk B
 // packing is amortized.
 constexpr std::size_t kRowGrain = 64;
@@ -42,9 +39,10 @@ constexpr std::size_t kRowGrain = 64;
 // on both sides. Path choice never changes bytes, only speed.
 constexpr std::size_t kParallelMinProduct = 48u * 1024u * 1024u;
 
-/// Fast path for small shapes: i-k-j with the accumulator living in the
-/// output row. Per element this is still one accumulator updated in
-/// ascending k — bit-identical to the reference. `out` must be zeroed.
+/// Path for the shapes the register tile cannot help (see UseSmallPath):
+/// i-k-j with the accumulator living in the output row. Per element this
+/// is still one accumulator updated in ascending k — bit-identical to the
+/// reference. `out` must be zeroed.
 void SmallGemm(std::size_t i_begin, std::size_t i_end, std::size_t n,
                std::size_t k, View a, View b, double* out) {
   for (std::size_t i = i_begin; i < i_end; ++i) {
@@ -174,27 +172,29 @@ std::atomic<KernelPath>& ActivePath() {
   return path;
 }
 
-/// Per-chunk pack workspaces. GemmBatch reuses one of these across every
-/// item a chunk owns — the amortization that makes batching tiny matrices
-/// worthwhile.
-struct PackBuffers {
-  std::vector<double> a;
-  std::vector<double> b;
-};
-
 /// Blocked/packed GEMM over output rows [i_begin, i_end). `out` must be
 /// zeroed. Each thread-pool chunk runs this whole routine on its own row
 /// range with its own pack buffers; rows never straddle chunks, so the
 /// arithmetic per element is independent of the partition.
 void BlockedGemm(std::size_t i_begin, std::size_t i_end, std::size_t n,
-                 std::size_t k, View a, View b, double* out, MicroKernelFn fn,
-                 PackBuffers& ws) {
+                 std::size_t k, View a, View b, double* out,
+                 MicroKernelFn fn) {
+  // One pair of pack buffers per thread, reused by every product it runs,
+  // so a small GEMM allocates nothing. They only grow. Every panel is fully
+  // rewritten, zero padding included, before the kernel reads it, so what
+  // an earlier product left behind is never read.
+  thread_local std::vector<double> apack;
+  thread_local std::vector<double> bpack;
+  const std::size_t kc_max = std::min(kKc, k);
   const std::size_t nc_panels = (std::min(kNc, n) + kNr - 1) / kNr;
-  const std::size_t mc_panels = (kMc + kMr - 1) / kMr;
-  if (ws.b.size() < kKc * nc_panels * kNr) ws.b.resize(kKc * nc_panels * kNr);
-  if (ws.a.size() < kKc * mc_panels * kMr) ws.a.resize(kKc * mc_panels * kMr);
-  std::vector<double>& bpack = ws.b;
-  std::vector<double>& apack = ws.a;
+  const std::size_t mc_panels =
+      (std::min(kMc, i_end - i_begin) + kMr - 1) / kMr;
+  if (bpack.size() < kc_max * nc_panels * kNr) {
+    bpack.resize(kc_max * nc_panels * kNr);
+  }
+  if (apack.size() < kc_max * mc_panels * kMr) {
+    apack.resize(kc_max * mc_panels * kMr);
+  }
 
   for (std::size_t pc = 0; pc < k; pc += kKc) {
     const std::size_t kc = std::min(kKc, k - pc);
@@ -247,7 +247,7 @@ void BlockedGemm(std::size_t i_begin, std::size_t i_end, std::size_t n,
   }
 }
 
-/// Per-path dispatch counter names, built once ("small" is the fast path
+/// Per-path dispatch counter names, built once ("small" is the i-k-j path
 /// that bypasses the micro-kernel entirely).
 const std::string& DispatchCounterName(KernelPath path, bool small) {
   static const std::string kSmall = "tfb_kernel_dispatch{path=\"small\"}";
@@ -279,8 +279,14 @@ void RecordGemm(std::size_t m, std::size_t n, std::size_t k,
       .Increment(static_cast<double>(calls));
 }
 
+/// The one dispatch rule of every entry point: shapes shorter or narrower
+/// than one tile, or with nearly no k depth, run SmallGemm, all others the
+/// blocked kernel. On a one-row product the padded tile does four times
+/// the work and packing B costs as much as the product, so blocked runs
+/// 2-5x slower there. Both paths are bit-identical, so this is a speed
+/// decision only.
 bool UseSmallPath(std::size_t m, std::size_t n, std::size_t k) {
-  return m * n * k <= kSmallProduct || n < kNr || k < 8;
+  return m < kMr || n < kNr || k < 8;
 }
 
 }  // namespace
@@ -339,8 +345,7 @@ void GemmSingleThread(std::size_t m, std::size_t n, std::size_t k, View a,
   }
   const KernelPath path = ActiveKernelPath();
   RecordGemm(m, n, k, 1, path, /*small=*/false);
-  PackBuffers ws;
-  BlockedGemm(0, m, n, k, a, b, out, PathFn(path), ws);
+  BlockedGemm(0, m, n, k, a, b, out, PathFn(path));
 }
 
 void Gemm(std::size_t m, std::size_t n, std::size_t k, View a, View b,
@@ -356,27 +361,19 @@ void Gemm(std::size_t m, std::size_t n, std::size_t k, View a, View b,
   const MicroKernelFn fn = PathFn(path);
   RecordGemm(m, n, k, 1, path, /*small=*/false);
   if (m * n * k < kParallelMinProduct) {
-    PackBuffers ws;
-    BlockedGemm(0, m, n, k, a, b, out, fn, ws);
+    BlockedGemm(0, m, n, k, a, b, out, fn);
     return;
   }
   parallel::ThreadPool::Default().ParallelFor(
       0, m, kRowGrain, [n, k, a, b, out, fn](std::size_t lo, std::size_t hi) {
-        PackBuffers ws;
-        BlockedGemm(lo, hi, n, k, a, b, out, fn, ws);
+        BlockedGemm(lo, hi, n, k, a, b, out, fn);
       });
 }
 
 void GemmBatch(std::size_t m, std::size_t n, std::size_t k,
                std::span<const GemmBatchItem> items) {
   if (items.empty() || m == 0 || n == 0) return;
-  // Unlike the single-call path, batch items skip the kSmallProduct
-  // volume test: that cutoff exists to dodge per-call pack-buffer
-  // allocation, which workspace reuse already removes. Only shapes the
-  // tile genuinely cannot help (narrower than one panel, or nearly no k
-  // depth) stay on the i-k-j fast path. Both paths are bit-identical, so
-  // this is a speed decision only.
-  const bool micro = n >= kNr && k >= 8;
+  const bool micro = !UseSmallPath(m, n, k);
   const KernelPath path = ActiveKernelPath();
   const MicroKernelFn fn = PathFn(path);
   RecordGemm(m, n, k, items.size(), path, /*small=*/!micro);
@@ -390,12 +387,11 @@ void GemmBatch(std::size_t m, std::size_t n, std::size_t k,
   parallel::ThreadPool::Default().ParallelFor(
       0, items.size(), grain,
       [m, n, k, items, fn, micro](std::size_t lo, std::size_t hi) {
-        PackBuffers ws;
         for (std::size_t i = lo; i < hi; ++i) {
           const GemmBatchItem& item = items[i];
           std::fill(item.out, item.out + m * n, 0.0);
           if (micro) {
-            BlockedGemm(0, m, n, k, item.a, item.b, item.out, fn, ws);
+            BlockedGemm(0, m, n, k, item.a, item.b, item.out, fn);
           } else {
             SmallGemm(0, m, n, k, item.a, item.b, item.out);
           }

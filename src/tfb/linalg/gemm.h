@@ -16,7 +16,7 @@
 /// materialized.
 ///
 /// Bit-determinism contract: every kernel in this layer (the retained
-/// naive reference, the small-matrix fast path, the blocked/packed path,
+/// naive reference, the i-k-j path for narrow shapes, the blocked/packed path,
 /// the row-parallel path, and every SIMD micro-kernel) computes each
 /// output element as ONE accumulator updated in ascending-k order with
 /// the same IEEE multiply-then-add expression shape — no FMA (the hot TUs
@@ -71,9 +71,10 @@ bool SetKernelPathByName(std::string_view name);
 
 /// out = A(m×k) · B(k×n), out row-major with leading dimension n.
 /// `out` must not alias A or B. Rows [0, m) are fully overwritten.
-/// Dispatches between the fast path, the blocked kernel, and the
-/// thread-pool row-parallel kernel by problem size; all paths are
-/// bit-identical (see file comment).
+/// Shapes with m < 4, n < 8 or k < 8 run an i-k-j loop; all others run the
+/// blocked kernel on the active path, row-parallel across the thread pool
+/// once the product is large. All paths are bit-identical (see file
+/// comment).
 void Gemm(std::size_t m, std::size_t n, std::size_t k, View a, View b,
           double* out);
 
@@ -100,10 +101,10 @@ struct GemmBatchItem {
 /// Computes every item of a uniform-shape batch, bit-identically to
 /// calling Gemm on each item in isolation. The point is amortization for
 /// the many-tiny-matrix DL workloads (GRU gate steps, attention windows,
-/// per-window Dense layers): pack workspaces are reused across the items
-/// a thread-pool chunk owns instead of reallocated per call, dispatch and
-/// metrics cost is paid once per batch, and the batch — not the rows of
-/// one small matrix — is the unit parallelized across the pool. Each item
+/// per-window Dense layers): dispatch and metrics cost is paid once per
+/// batch, and the batch — not the rows of one small matrix — is the unit
+/// parallelized across the pool. Items take the same path as a single
+/// Gemm of their shape would. Each item
 /// is computed whole by one thread with the pool's deterministic static
 /// partition, so results are thread-count-invariant like everything else
 /// in this layer.

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "tfb/linalg/gemm.h"
@@ -231,6 +232,73 @@ TEST(GemmDispatch, EveryAvailablePathIsBitEqualOnShapeGrid) {
   }
 }
 
+TEST(GemmDispatch, DlShapesMatchReferenceOnEveryPath) {
+  // Products the nn layers run (batch x width x depth). All but the
+  // one-row 1x8x8, which stays on the i-k-j path, take the blocked kernel
+  // however small their volume.
+  KernelPathGuard guard;
+  const struct {
+    std::size_t m, n, k;
+  } shapes[] = {
+      {32, 24, 48}, {32, 64, 48}, {64, 16, 48}, {7, 9, 9},
+      {1, 8, 8},    {48, 64, 64}, {24, 32, 16}, {9, 96, 8},
+  };
+  for (kernel::KernelPath path : AvailablePaths()) {
+    ASSERT_TRUE(kernel::SetKernelPath(path));
+    std::uint64_t seed = 15000 + 1000 * static_cast<std::uint64_t>(path);
+    for (const auto& s : shapes) CheckShape(s.m, s.n, s.k, seed += 8);
+  }
+}
+
+/// Runs one GEMM and checks it bit for bit against the reference.
+bool GemmMatchesReference(std::size_t m, std::size_t n, std::size_t k,
+                          std::uint64_t seed) {
+  const Matrix a = RandomMatrix(m, k, seed);
+  const Matrix b = RandomMatrix(k, n, seed + 1);
+  std::vector<double> got(m * n), want(m * n);
+  kernel::Gemm(m, n, k, {a.data(), k, 1}, {b.data(), n, 1}, got.data());
+  kernel::GemmReference(m, n, k, {a.data(), k, 1}, {b.data(), n, 1},
+                        want.data());
+  return BitEqual(got.data(), want.data(), want.size());
+}
+
+TEST(GemmDispatch, ReusedPackWorkspacesKeepBytes) {
+  // Every thread keeps its pack workspaces across products. A large
+  // product (row-parallel, so every pool thread fills its workspaces) is
+  // followed by small ones, on the caller alone and on every pool thread,
+  // then by the large one again: a panel that is not fully rewritten
+  // before use would show up as a byte difference.
+  PoolGuard pool_guard;
+  KernelPathGuard path_guard;
+  const std::size_t small[][3] = {{7, 9, 9},   {32, 24, 48}, {5, 8, 300},
+                                  {64, 16, 8}, {13, 17, 29}, {1, 8, 8}};
+  for (kernel::KernelPath path : AvailablePaths()) {
+    ASSERT_TRUE(kernel::SetKernelPath(path));
+    for (std::size_t workers : {std::size_t{0}, std::size_t{3}}) {
+      SCOPED_TRACE(testing::Message() << kernel::KernelPathName(path) << " "
+                                      << workers + 1 << " lanes");
+      parallel::ThreadPool::Default().Resize(workers);
+      EXPECT_TRUE(GemmMatchesReference(400, 400, 320, 21));
+      for (std::size_t i = 0; i < std::size(small); ++i) {
+        EXPECT_TRUE(GemmMatchesReference(small[i][0], small[i][1],
+                                         small[i][2], 30 + i));
+      }
+      std::vector<char> ok(64, 0);
+      parallel::ThreadPool::Default().ParallelFor(
+          0, ok.size(), 1, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t t = lo; t < hi; ++t) {
+              const auto* s = small[t % std::size(small)];
+              ok[t] = GemmMatchesReference(s[0], s[1], s[2], 100 + t);
+            }
+          });
+      for (std::size_t t = 0; t < ok.size(); ++t) {
+        EXPECT_TRUE(ok[t]) << "small product " << t << " on a pool thread";
+      }
+      EXPECT_TRUE(GemmMatchesReference(400, 400, 320, 22));
+    }
+  }
+}
+
 TEST(GemmDispatch, AllPathsProduceIdenticalBytes) {
   // Cross-path equality on a blocked-size product: whatever the probe
   // picked must equal the scalar baseline byte for byte.
@@ -275,7 +343,8 @@ TEST(GemmDispatch, SetKernelPathByNameContract) {
 TEST(GemmBatch, BitEqualToPerItemGemmAcrossShapesAndPaths) {
   // Uniform-shape batches must match per-item Gemm (and hence the naive
   // reference) bitwise on every dispatch path, including shapes that take
-  // the small path (n < kNr or k < 8) and strided (transposed) views.
+  // the small path (m < kMr, n < kNr or k < 8) and strided (transposed)
+  // views.
   KernelPathGuard guard;
   const struct {
     std::size_t m, n, k, count;
