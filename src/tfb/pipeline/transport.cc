@@ -10,12 +10,12 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
 
 #include "tfb/base/crc32.h"
+#include "tfb/pipeline/wire.h"
 #include "tfb/stats/rng.h"
 
 namespace tfb::pipeline {
@@ -393,15 +393,6 @@ class FaultInjectingTransport final : public Transport {
   std::size_t data_frames_ = 0;
 };
 
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 std::optional<FaultPlan> ParseFaultPlan(const std::string& spec,
@@ -434,9 +425,9 @@ std::optional<FaultPlan> ParseFaultPlan(const std::string& spec,
         *field = fallback;
         return true;
       }
-      double v = 0.0;
-      if (!ParseDouble(value, &v) || v < 0.0 || v > 1.0) return false;
-      *field = v;
+      const auto v = ParseStrictDouble(value);
+      if (!v || *v < 0.0 || *v > 1.0) return false;
+      *field = *v;
       return true;
     };
     bool ok = true;
@@ -449,33 +440,31 @@ std::optional<FaultPlan> ParseFaultPlan(const std::string& spec,
     } else if (key == "delay") {
       ok = rate(&plan.delay, 0.25);
     } else if (key == "delay_ms") {
-      ok = ParseDouble(value, &plan.delay_ms) && plan.delay_ms >= 0.0;
+      const auto v = ParseStrictDouble(value);
+      ok = v && *v >= 0.0;
+      if (ok) plan.delay_ms = *v;
     } else if (key == "partition") {
       if (value.empty()) {
         plan.partition_after = 8;
         plan.partition_frames = 6;
       } else {
         const std::size_t colon = value.find(':');
-        char* end = nullptr;
-        const unsigned long long after =
-            std::strtoull(value.c_str(), &end, 10);
-        ok = colon != std::string::npos &&
-             end == value.c_str() + static_cast<std::ptrdiff_t>(colon);
+        const std::string_view text = value;
+        const auto after = ParseSizeFields(text.substr(0, colon), 1, 1);
+        const auto frames =
+            colon == std::string::npos
+                ? std::nullopt
+                : ParseSizeFields(text.substr(colon + 1), 1, 1);
+        ok = after && frames && (*frames)[0] > 0;
         if (ok) {
-          const char* tail = value.c_str() + colon + 1;
-          const unsigned long long frames = std::strtoull(tail, &end, 10);
-          ok = *tail != '\0' && *end == '\0' && frames > 0;
-          if (ok) {
-            plan.partition_after = static_cast<std::size_t>(after);
-            plan.partition_frames = static_cast<std::size_t>(frames);
-          }
+          plan.partition_after = (*after)[0];
+          plan.partition_frames = (*frames)[0];
         }
       }
     } else if (key == "seed") {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      ok = !value.empty() && *end == '\0';
-      if (ok) plan.seed = v;
+      const auto v = ParseSizeFields(value, 1, 1);
+      ok = v.has_value();
+      if (ok) plan.seed = (*v)[0];
     } else {
       ok = false;
     }

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "tfb/pipeline/config.h"
+#include "tfb/pipeline/transport.h"
 
 namespace tfb::pipeline {
 namespace {
@@ -238,6 +239,38 @@ TEST(Config, RealKeysRejectTrailingText) {
     }
     std::string error;
     EXPECT_TRUE(ParseConfig(std::string(key) + " = 2.5\n", &error)) << error;
+  }
+}
+
+TEST(Config, ChaosNetTakesOnlyInRangeNumbers) {
+  for (const char* spec :
+       {"seed=-1", "partition=-2:3", "partition=2:-3", "partition=:3",
+        "seed=1x", "seed=99999999999999999999", "drop=nan", "drop=1e999",
+        "delay,delay_ms=inf", "drop=nan,delay_ms=inf,seed=-1"}) {
+    std::string error;
+    EXPECT_FALSE(ParseConfig("", &error, {std::string("--chaos-net=") + spec}))
+        << spec;
+    EXPECT_NE(error.find("bad chaos_net"), std::string::npos) << error;
+  }
+  const struct {
+    const char* spec;
+    const char* canonical;
+  } valid[] = {
+      {"drop=0.1,seed=3", "seed=3,drop=0.1"},
+      {"drop, corrupt ,short,delay,partition",
+       "seed=1,drop=0.05,corrupt=0.05,short=0.05,delay=0.25,delay_ms=5,"
+       "partition=8:6"},
+      {"delay=0.5,delay_ms=7.5,partition=0:4,seed=18446744073709551615",
+       "seed=18446744073709551615,delay=0.5,delay_ms=7.5,partition=0:4"},
+      {"corrupt=1,short=0,seed=0", "seed=0,corrupt=1"},
+  };
+  for (const auto& v : valid) {
+    std::string error;
+    const auto plan = ParseFaultPlan(v.spec, &error);
+    ASSERT_TRUE(plan) << v.spec << ": " << error;
+    EXPECT_EQ(FaultPlanToString(*plan), v.canonical) << v.spec;
+    EXPECT_TRUE(ParseConfig("", &error, {std::string("--chaos-net=") + v.spec}))
+        << error;
   }
 }
 
